@@ -8,12 +8,11 @@
 //!   GEMM vs the retained scalar reference (the headline speedup number) and vs
 //!   dequantize-then-matmul, the SE ablation, partition sweep, code packing,
 //!   attention prefill/decode/append, and the baseline codecs.
-//! * **Simulator** (`BENCH_sim.json`): a 1M+-event cluster run on the slab
-//!   engine vs the pre-change boxed engine (the headline wall-clock reduction),
-//!   the `sim_cost` section (prefix-sum cost tables vs the reference
-//!   per-token summation loops: microbench, full cluster run, capacity
-//!   bisection), the `tenant_mix` scheduling grid, the `hetero_fleet`
-//!   mixed-vs-uniform dispatch grid, the `fault_storm` robustness grid with
+//! * **Simulator** (`BENCH_sim.json`): a 1M+-event cluster run and a pure
+//!   engine event storm (ns per event), the `sim_cost` section (prefix-sum
+//!   cost tables vs the per-token summation loop on decode durations, and a
+//!   full capacity bisection), the `tenant_mix` scheduling grid, the
+//!   `hetero_fleet` mixed-vs-uniform dispatch grid, the `fault_storm` robustness grid with
 //!   its Flat-vs-LinkGraph fabric A/B, the `availability` MTBF/MTTR
 //!   Monte-Carlo SLO sweep, the `autoscale` cost-vs-SLO Pareto grid with its
 //!   Off-identity controller A/B, the `session_cache` prefix-cache grid with
@@ -27,7 +26,6 @@
 use hack_attention::baseline::AttentionMask;
 use hack_attention::flash::flash_attention;
 use hack_baselines::{CacheGenLike, Fp8Format, KvCompressor, KvQuantLike, MinifloatCast};
-use hack_cluster::CostMode;
 use hack_cluster::SchedulingPolicyKind;
 use hack_core::prelude::*;
 use hack_model::cost_table::DecodeCostTable;
@@ -38,7 +36,6 @@ use hack_quant::homomorphic::{
 };
 use hack_quant::packing::{pack_codes, unpack_codes};
 use hack_quant::params::{QuantBits, RoundingMode};
-use hack_sim::EngineMode;
 use hack_workload::trace::{Request, TraceGenerator};
 use serde::Serialize;
 use std::hint::black_box;
@@ -77,16 +74,15 @@ struct KernelsReport {
     benches: Vec<Bench>,
 }
 
-/// The headline engine comparison: one seeded workload, both engine modes.
+/// One seeded engine workload, timed best-of-two.
 #[derive(Debug, Serialize)]
-struct EngineComparison {
-    /// Events processed by the engine during the run (identical across modes).
+struct EngineRun {
+    /// Events processed by the engine during the run.
     events_processed: u64,
-    /// Best-of-two wall-clock per mode (runs alternate modes to cancel drift).
-    slab_secs: f64,
-    boxed_secs: f64,
-    /// `100 * (1 - slab_secs / boxed_secs)`.
-    reduction_percent: f64,
+    /// Best wall-clock of two runs.
+    secs: f64,
+    /// `1e9 * secs / events_processed`.
+    ns_per_event: f64,
 }
 
 /// Prefix-sum table vs reference summation loop on per-request decode
@@ -104,28 +100,16 @@ struct DecodeDurationsMicrobench {
     speedup: f64,
 }
 
-/// One workload timed under both cost-evaluation modes of the simulator.
+/// One full capacity bisection (`measured_max_rps`: shared trace template
+/// and cost tables across its probe runs).
 #[derive(Debug, Serialize)]
-struct CostModeComparison {
-    /// Best-of-two wall-clock per mode (runs alternate modes to cancel drift).
-    table_secs: f64,
-    reference_secs: f64,
-    /// `100 * (1 - table_secs / reference_secs)`.
-    reduction_percent: f64,
-}
-
-/// Cached capacity bisection (shared trace template + cost tables) vs the
-/// uncached reference path; both must return the identical rate.
-#[derive(Debug, Serialize)]
-struct BisectionComparison {
+struct BisectionRun {
     dataset: &'static str,
     probe_requests: usize,
-    /// The measured capacity (identical across paths by construction).
+    /// The measured capacity.
     max_rps: f64,
-    cached_secs: f64,
-    reference_secs: f64,
-    /// `reference_secs / cached_secs`.
-    speedup: f64,
+    /// Best wall-clock seconds of one bisection.
+    secs: f64,
 }
 
 /// The O(1) analytic-cost-table section: how much of the simulator's wall
@@ -134,10 +118,8 @@ struct BisectionComparison {
 struct SimCostReport {
     /// Prefix subtraction vs O(output tokens) loop, per request.
     decode_durations: DecodeDurationsMicrobench,
-    /// The 1M+-event headline cluster run under both cost modes.
-    cluster_run_cost_model: CostModeComparison,
-    /// A full `measured_max_rps` bisection, cached vs reference.
-    capacity_bisection: BisectionComparison,
+    /// A full `measured_max_rps` bisection.
+    capacity_bisection: BisectionRun,
 }
 
 /// One scheduling policy evaluated on the two-tenant contention mix.
@@ -422,17 +404,17 @@ struct TelemetryOverheadReport {
 struct SimReport {
     schema: &'static str,
     scale: &'static str,
-    /// Slab vs pre-change boxed engine on a 1M+-event seeded cluster run
-    /// (short-output IMDb workload: the engine, not the cost model, dominates).
+    /// A 1M+-event seeded cluster run (short-output IMDb workload: the
+    /// engine, not the cost model, dominates).
     cluster_run_requests: usize,
-    engine_cluster_run: EngineComparison,
-    /// Slab vs boxed on a pure engine event storm (no cluster cost model at
-    /// all): isolates queue + payload-allocation overhead.
-    engine_event_storm: EngineComparison,
+    engine_cluster_run: EngineRun,
+    /// A pure engine event storm (no cluster cost model at all): queue and
+    /// payload handling alone.
+    engine_event_storm: EngineRun,
     /// Telemetry on vs off on the headline cluster run (see PERF.md,
     /// "Telemetry overhead").
     telemetry_overhead: TelemetryOverheadReport,
-    /// Memoized cost tables vs the reference summation loops.
+    /// Memoized cost tables: the loop-vs-table microbench and a bisection.
     sim_cost: SimCostReport,
     /// The multi-tenant scheduling grid (see PERF.md, "Multi-tenant
     /// scenarios").
@@ -785,7 +767,7 @@ fn kernel_benches(smoke: bool) -> KernelsReport {
 /// A self-scheduling engine component: every delivery fans out two more events
 /// until the budget is exhausted — a pure queue/payload workload.
 mod storm {
-    use hack_sim::{EngineMode, Event, EventHandler, Simulation, SimulationContext};
+    use hack_sim::{Event, EventHandler, Simulation, SimulationContext};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -822,8 +804,8 @@ mod storm {
     }
 
     /// Runs the storm until ~`2 * budget` events are processed; returns the count.
-    pub fn run(mode: EngineMode, budget: u64) -> u64 {
-        let mut sim = Simulation::with_mode(7, mode);
+    pub fn run(budget: u64) -> u64 {
+        let mut sim = Simulation::new(7);
         let ctx = sim.create_context("echo");
         let echo = Rc::new(RefCell::new(Echo { ctx, budget }));
         echo.borrow().ctx.emit_self(Burst { depth: 0 }, 0.0);
@@ -833,44 +815,46 @@ mod storm {
     }
 }
 
-/// Times `run` in both engine modes, alternating Boxed/Slab twice and keeping
-/// the best per mode, and verifies both modes report the same event count.
-fn compare_engines(label: &str, mut run: impl FnMut(EngineMode) -> u64) -> EngineComparison {
-    let mut best = [f64::INFINITY; 2]; // [slab, boxed]
-    let mut events = [0u64; 2];
+/// Times `run` (which returns the events it processed) best-of-two, records
+/// it as a bench row and checks both runs processed the same events.
+fn time_engine(
+    benches: &mut Vec<Bench>,
+    name: &str,
+    config: String,
+    mut run: impl FnMut() -> u64,
+) -> EngineRun {
+    let mut secs = f64::INFINITY;
+    let mut events = Vec::new();
     for _round in 0..2 {
-        for (slot, mode) in [(1, EngineMode::Boxed), (0, EngineMode::Slab)] {
-            let start = Instant::now();
-            let count = run(mode);
-            best[slot] = best[slot].min(start.elapsed().as_secs_f64());
-            events[slot] = count;
-        }
+        let start = Instant::now();
+        events.push(run());
+        secs = secs.min(start.elapsed().as_secs_f64());
     }
     assert_eq!(
         events[0], events[1],
-        "{label}: modes must process identically"
+        "{name}: runs must process identically"
     );
-    let cmp = EngineComparison {
+    let engine_run = EngineRun {
         events_processed: events[0],
-        slab_secs: best[0],
-        boxed_secs: best[1],
-        reduction_percent: 100.0 * (1.0 - best[0] / best[1]),
+        secs,
+        ns_per_event: 1e9 * secs / events[0] as f64,
     };
     println!(
-        "  {label}: {} events, slab {:.3}s vs boxed {:.3}s ({:+.1}% wall-clock)",
-        cmp.events_processed, cmp.slab_secs, cmp.boxed_secs, -cmp.reduction_percent
+        "  {name}: {} events in {:.3}s ({:.0} ns/event)",
+        engine_run.events_processed, engine_run.secs, engine_run.ns_per_event
     );
-    cmp
+    push(benches, name, config, 2, secs);
+    engine_run
 }
 
 fn sim_benches(smoke: bool) -> SimReport {
     let mut benches = Vec::new();
     println!("== simulator benches ==");
 
-    // --- Headline comparison 1: a seeded cluster run, slab vs boxed engine.
-    // The components emit 4 events per request, so the full-scale run processes
-    // well over one million engine events; the short-output IMDb workload keeps
-    // the analytic cost model cheap so the engine dominates the wall-clock. ---
+    // --- Engine 1: a seeded cluster run. The components emit 4 events per
+    // request, so the full-scale run processes well over one million engine
+    // events; the short-output IMDb workload keeps the analytic cost model
+    // cheap so the engine dominates the wall-clock. ---
     let requests = if smoke { 2_000 } else { 300_000 };
     let experiment = JctExperiment {
         num_requests: requests,
@@ -879,14 +863,19 @@ fn sim_benches(smoke: bool) -> SimReport {
     };
     let simulator = Simulator::new(experiment.simulation_config(Method::hack()));
     let mut last_result: Option<hack_cluster::SimulationResult> = None;
-    let engine_cluster_run = compare_engines("cluster_run", |mode| {
-        let (result, events) = simulator.run_counted(mode);
-        if let Some(prev) = &last_result {
-            assert_eq!(prev, &result, "engine modes must agree bit-for-bit");
-        }
-        last_result = Some(result);
-        events
-    });
+    let engine_cluster_run = time_engine(
+        &mut benches,
+        "engine_cluster_run",
+        format!("requests={requests}"),
+        || {
+            let (result, events) = simulator.run_counted(hack_sim::EngineMode::Slab);
+            if let Some(prev) = &last_result {
+                assert_eq!(prev, &result, "repeat runs must agree bit-for-bit");
+            }
+            last_result = Some(result);
+            events
+        },
+    );
 
     // --- Telemetry A/B: the same headline run, telemetry off vs fully
     // instrumented (lifecycle spans + the periodic sampler). Off is the
@@ -947,10 +936,14 @@ fn sim_benches(smoke: bool) -> SimReport {
         report
     };
 
-    // --- Headline comparison 2: pure engine event storm (queue + payload
-    // churn only). ---
+    // --- Engine 2: pure engine event storm (queue + payload churn only). ---
     let storm_budget = if smoke { 50_000 } else { 600_000 };
-    let engine_event_storm = compare_engines("event_storm", |mode| storm::run(mode, storm_budget));
+    let engine_event_storm = time_engine(
+        &mut benches,
+        "engine_event_storm",
+        format!("budget={storm_budget}"),
+        || storm::run(storm_budget),
+    );
 
     // --- sim_cost 1: decode_durations, prefix-sum table vs reference loop,
     // over a realistic long-prompt trace. ---
@@ -1038,86 +1031,31 @@ fn sim_benches(smoke: bool) -> SimReport {
         micro_requests
     );
 
-    // --- sim_cost 2: the headline cluster run under both cost modes. ---
-    let mut best = [f64::INFINITY; 2]; // [table, reference]
-    let mut jcts = [0.0f64; 2];
-    for _round in 0..2 {
-        for (slot, costs) in [(1, CostMode::Reference), (0, CostMode::Table)] {
-            let start = Instant::now();
-            let result = simulator.run_with_costs(costs);
-            best[slot] = best[slot].min(start.elapsed().as_secs_f64());
-            jcts[slot] = result.average_jct();
-        }
-    }
-    assert!(
-        (jcts[0] - jcts[1]).abs() <= 1e-9 * jcts[1].abs(),
-        "cost modes disagree on the cluster run: {} vs {}",
-        jcts[0],
-        jcts[1]
-    );
-    let cluster_run_cost_model = CostModeComparison {
-        table_secs: best[0],
-        reference_secs: best[1],
-        reduction_percent: 100.0 * (1.0 - best[0] / best[1]),
-    };
-    println!(
-        "  sim_cost/cluster_run: table {:.3}s vs reference {:.3}s ({:+.1}% wall-clock)",
-        cluster_run_cost_model.table_secs,
-        cluster_run_cost_model.reference_secs,
-        -cluster_run_cost_model.reduction_percent
-    );
-
-    // --- sim_cost 3: a full capacity bisection, cached vs reference. ---
+    // --- sim_cost 2: a full capacity bisection. ---
     let probe_requests = if smoke { 20 } else { 40 };
     let bisect_experiment = JctExperiment {
         num_requests: probe_requests,
         ..JctExperiment::new(ModelKind::Llama31_70B, GpuKind::A10G, Dataset::Cocktail)
     };
     let bisect_iters = if smoke { 2 } else { 5 };
-    let cached_rps = bisect_experiment.measured_max_rps();
-    let reference_rps = bisect_experiment.measured_max_rps_reference();
-    // Bit-identity of the two paths is pinned by test on the default configs
-    // (hack-core jct_runner tests); the bench is a report, not a gate, so a
-    // disagreement here — only possible if some probe JCT lands within ~1e-15
-    // of the saturation threshold — warns instead of panicking mid-run.
-    if cached_rps != reference_rps {
-        println!(
-            "  [warning] cached ({cached_rps}) and reference ({reference_rps}) bisections \
-             disagree — a probe JCT sits on the saturation threshold; investigate"
-        );
-    }
-    let cached_secs = time_iters(bisect_iters, || bisect_experiment.measured_max_rps());
-    let reference_secs = time_iters(bisect_iters, || {
-        bisect_experiment.measured_max_rps_reference()
-    });
+    let max_rps = bisect_experiment.measured_max_rps();
+    let bisect_secs = time_iters(bisect_iters, || bisect_experiment.measured_max_rps());
     push(
         &mut benches,
         "capacity_bisection",
         format!("path=cached,probe_requests={probe_requests}"),
         bisect_iters,
-        cached_secs,
+        bisect_secs,
     );
-    push(
-        &mut benches,
-        "capacity_bisection",
-        format!("path=reference,probe_requests={probe_requests}"),
-        bisect_iters,
-        reference_secs,
-    );
-    let capacity_bisection = BisectionComparison {
+    let capacity_bisection = BisectionRun {
         dataset: "Cocktail",
         probe_requests,
-        max_rps: cached_rps,
-        cached_secs,
-        reference_secs,
-        speedup: reference_secs / cached_secs,
+        max_rps,
+        secs: bisect_secs,
     };
     println!(
-        "  sim_cost/capacity_bisection: {:.2}x (cached {:.1} ms vs reference {:.1} ms, max_rps {:.4})",
-        capacity_bisection.speedup,
-        cached_secs * 1e3,
-        reference_secs * 1e3,
-        cached_rps
+        "  sim_cost/capacity_bisection: {:.1} ms (max_rps {max_rps:.4})",
+        bisect_secs * 1e3
     );
 
     // --- tenant_mix: the two-tenant contention grid, one run per scheduling
@@ -1667,7 +1605,7 @@ fn sim_benches(smoke: bool) -> SimReport {
     }
 
     SimReport {
-        schema: "hack-bench/sim/v9",
+        schema: "hack-bench/sim/v10",
         scale: if smoke { "smoke" } else { "full" },
         cluster_run_requests: requests,
         engine_cluster_run,
@@ -1675,7 +1613,6 @@ fn sim_benches(smoke: bool) -> SimReport {
         telemetry_overhead,
         sim_cost: SimCostReport {
             decode_durations,
-            cluster_run_cost_model,
             capacity_bisection,
         },
         tenant_mix,
@@ -1875,27 +1812,14 @@ mod compare {
                 }
             }
             Some("sim") => {
-                for path in [
-                    ["engine_cluster_run", "reduction_percent"],
-                    ["engine_event_storm", "reduction_percent"],
-                ] {
-                    headline(
-                        &path.join("."),
-                        lookup(baseline, &path).and_then(Value::as_f64),
-                        lookup(current, &path).and_then(Value::as_f64),
-                    );
-                }
-                for path in [
-                    ["sim_cost", "decode_durations", "speedup"],
-                    ["sim_cost", "cluster_run_cost_model", "reduction_percent"],
-                    ["sim_cost", "capacity_bisection", "speedup"],
-                ] {
-                    headline(
-                        &path.join("."),
-                        lookup(baseline, &path).and_then(Value::as_f64),
-                        lookup(current, &path).and_then(Value::as_f64),
-                    );
-                }
+                // The engine and bisection timings are bench rows (above);
+                // the loop-vs-table ratio is the one headline left.
+                let path = ["sim_cost", "decode_durations", "speedup"];
+                headline(
+                    &path.join("."),
+                    lookup(baseline, &path).and_then(Value::as_f64),
+                    lookup(current, &path).and_then(Value::as_f64),
+                );
                 // The telemetry budget is absolute (≤ 5% over telemetry-off),
                 // so it is checked against the constant, not the baseline —
                 // but only a full-scale measurement is meaningful: the budget

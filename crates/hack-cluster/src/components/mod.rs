@@ -33,7 +33,6 @@ use crate::cache::{PrefixHit, SessionCacheState};
 use crate::config::SimulationConfig;
 use crate::events::{RequestArrived, TransferCompleted, TransferRetry};
 use crate::policy::{AdmissionPolicy, DispatchPolicy, SchedulingPolicy, MAX_TENANTS};
-use crate::sim::CostMode;
 use crate::topology::retry_backoff;
 use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
 use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
@@ -44,37 +43,15 @@ use std::sync::Arc;
 
 /// The memoized cost layer of one simulation run: per-decode-group prefix-sum
 /// tables and per-(prefill group × decode group) prompt-length memos, built
-/// once per [`crate::sim::Simulator`], plus the mode selecting between them
-/// and the reference summation loops (kept as the equivalence oracle). The
-/// tables are `None` exactly under [`CostMode::Reference`], which never reads
-/// them (and must not pay for building them — it is the benchmarked
-/// "pre-table" baseline).
+/// once per [`crate::sim::Simulator`].
 pub(crate) struct SimCosts {
-    pub mode: CostMode,
     /// `decode[dg]`: the decode cost table of decode group `dg`.
-    pub decode: Option<Vec<Arc<DecodeCostTable>>>,
+    pub decode: Vec<Arc<DecodeCostTable>>,
     /// `prefill[pg][dg]`: prefill/quantization times under prefill group
     /// `pg`'s model and the wire time over `min(pg, dg)` NIC bandwidth. The
     /// prefill/quantization entries are identical across `dg` (they do not
     /// depend on the network), so group-only lookups read `prefill[pg][0]`.
-    pub prefill: Option<Vec<Vec<Arc<PrefillCostTable>>>>,
-}
-
-impl SimCosts {
-    fn decode_table(&self, group: usize) -> &DecodeCostTable {
-        &self
-            .decode
-            .as_deref()
-            .expect("table cost mode always carries decode cost tables")[group]
-    }
-
-    fn prefill_table(&self, prefill_group: usize, decode_group: usize) -> &PrefillCostTable {
-        &self
-            .prefill
-            .as_deref()
-            .expect("table cost mode always carries prefill cost tables")[prefill_group]
-            [decode_group]
-    }
+    pub prefill: Vec<Vec<Arc<PrefillCostTable>>>,
 }
 
 /// The pending requests of one prefill replica.
@@ -457,38 +434,17 @@ impl ClusterState {
 
     /// Total (decode, dequant/approx) time of `request`'s decode iterations on
     /// a replica of decode group `group` — two prefix subtractions in the
-    /// group's decode cost table (O(1) per request), or the reference
-    /// summation loop under [`CostMode::Reference`].
+    /// group's decode cost table (O(1) per request).
     pub fn decode_durations(&self, group: usize, request: &Request) -> (f64, f64) {
-        match self.costs.mode {
-            CostMode::Table => self
-                .costs
-                .decode_table(group)
-                .decode_durations(request.input_len, request.output_len),
-            CostMode::Reference => self.decode_durations_reference(group, request),
-        }
-    }
-
-    /// The pre-table sequential summation over decode iterations, kept as the
-    /// oracle the table path is pinned against.
-    pub fn decode_durations_reference(&self, group: usize, request: &Request) -> (f64, f64) {
-        let model = &self.decode_models[group];
-        model.decode_durations_reference(
-            self.profile(),
-            model.params.decode_batch,
-            request.input_len,
-            request.output_len,
-        )
+        self.costs.decode[group].decode_durations(request.input_len, request.output_len)
     }
 
     /// Prefill and quantization service times of a prompt on prefill group
     /// `group`, memoized by prompt length (lengths repeat heavily across a
-    /// trace).
+    /// trace). Off-table lengths fall through to the direct formulas.
     pub fn prefill_service_times(&self, group: usize, prompt: usize) -> (f64, f64) {
-        if self.costs.mode == CostMode::Table {
-            if let Some(costs) = self.costs.prefill_table(group, 0).get(prompt) {
-                return (costs.prefill, costs.quantization);
-            }
+        if let Some(costs) = self.costs.prefill[group][0].get(prompt) {
+            return (costs.prefill, costs.quantization);
         }
         let profile = self.profile();
         let model = &self.prefill_models[group];
@@ -521,14 +477,8 @@ impl ClusterState {
         decode_group: usize,
         prompt: usize,
     ) -> f64 {
-        if self.costs.mode == CostMode::Table {
-            if let Some(costs) = self
-                .costs
-                .prefill_table(prefill_group, decode_group)
-                .get(prompt)
-            {
-                return costs.transfer;
-            }
+        if let Some(costs) = self.costs.prefill[prefill_group][decode_group].get(prompt) {
+            return costs.transfer;
         }
         let fleet = &self.config.cluster.fleet;
         let gbps = fleet

@@ -13,9 +13,9 @@
 //! group ([`hack_model::cost_table::DecodeCostTable`], shared process-wide
 //! across simulators with the same parameterisation) and one prefill-side
 //! per-prompt-length memo per (prefill group × decode group) pair, so every
-//! per-request cost during the event loop is O(1).
-//! [`CostMode::Reference`] re-runs the original per-token summation loops
-//! instead — kept for benchmarking and as the equivalence oracle.
+//! per-request cost during the event loop is O(1). The tests pin each lookup
+//! against the direct [`ReplicaCostModel`] formulas and per-token loops, and
+//! `tests/golden_digests.rs` pins whole runs bit for bit.
 
 use crate::components::decode::DecodeReplica;
 use crate::components::frontend::Frontend;
@@ -45,19 +45,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the simulator evaluates per-request analytic costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostMode {
-    /// Memoized cost tables: decode durations are prefix subtractions,
-    /// prefill/quantization/transfer times are per-prompt-length memos.
-    #[default]
-    Table,
-    /// The pre-table paths: O(output tokens) summation per request and direct
-    /// formula evaluation per call. Kept for benchmarking and equivalence
-    /// testing; results agree with [`CostMode::Table`] to ~1e-15 relative.
-    Reference,
-}
-
 #[cfg(test)]
 thread_local! {
     /// Test-only switch forcing the boxed trait-object policy path even for
@@ -74,9 +61,10 @@ pub struct Simulator {
     /// Cost model of each decode group.
     decode_models: Vec<ReplicaCostModel>,
     requests: Arc<Vec<Request>>,
-    /// Cost tables, built on the first [`CostMode::Table`] run and reused by
-    /// every subsequent one. Lazy so that pure [`CostMode::Reference`] runs —
-    /// the benchmarked "pre-table" baseline — never pay table construction.
+    /// Cost tables, built on the first run and reused by every subsequent
+    /// one. Lazy so that construction stays cheap: a simulator that is only
+    /// validated or inspected never builds them, and the build is charged to
+    /// the first run.
     #[allow(clippy::type_complexity)]
     tables: OnceCell<(Vec<Arc<DecodeCostTable>>, Vec<Vec<Arc<PrefillCostTable>>>)>,
 }
@@ -227,14 +215,7 @@ impl Simulator {
 
     /// Runs the simulation to completion and returns the aggregated result.
     pub fn run(&self) -> SimulationResult {
-        self.run_with_mode(EngineMode::Slab)
-    }
-
-    /// Runs on an explicit engine representation ([`EngineMode::Boxed`] is the
-    /// pre-slab engine, kept for benchmarking and equivalence testing; results
-    /// are bit-identical across modes).
-    pub fn run_with_mode(&self, mode: EngineMode) -> SimulationResult {
-        self.run_impl(mode, CostMode::Table, false).0
+        self.run_impl(false).0
     }
 
     /// Runs and returns the recorded [`Telemetry`] alongside the result —
@@ -242,31 +223,14 @@ impl Simulator {
     /// The result itself is bit-identical to [`Simulator::run`]: telemetry
     /// records the simulation, it never perturbs it.
     pub fn run_with_telemetry(&self) -> (SimulationResult, Option<Telemetry>) {
-        self.run_with_telemetry_modes(EngineMode::Slab, CostMode::Table)
-    }
-
-    /// [`Simulator::run_with_telemetry`] on explicit engine/cost modes (used
-    /// by the telemetry determinism tests).
-    pub fn run_with_telemetry_modes(
-        &self,
-        mode: EngineMode,
-        costs: CostMode,
-    ) -> (SimulationResult, Option<Telemetry>) {
-        let (result, _, _, telemetry) = self.run_impl(mode, costs, false);
-        (result, telemetry)
-    }
-
-    /// Runs with an explicit cost-evaluation mode ([`CostMode::Reference`] is
-    /// the pre-table summation path, kept for benchmarking and equivalence
-    /// testing; results agree to ~1e-15 relative).
-    pub fn run_with_costs(&self, costs: CostMode) -> SimulationResult {
-        self.run_impl(EngineMode::Slab, costs, false).0
+        let (result, _, _, cluster) = self.run_impl(false);
+        (result, cluster.tel.map(|ts| ts.tel))
     }
 
     /// Runs with structured event logging enabled, returning the full engine
-    /// event trace alongside the result (used by the trace-equivalence tests).
-    pub fn run_traced(&self, mode: EngineMode) -> (SimulationResult, Vec<EventRecord>) {
-        let (result, trace, _, _) = self.run_impl(mode, CostMode::Table, true);
+    /// event trace alongside the result (used by the golden-digest tests).
+    pub fn run_traced(&self) -> (SimulationResult, Vec<EventRecord>) {
+        let (result, trace, _, _) = self.run_impl(true);
         (result, trace)
     }
 
@@ -278,47 +242,31 @@ impl Simulator {
     /// fast path.
     #[cfg(test)]
     pub(crate) fn run_with_boxed_default_policies(&self) -> SimulationResult {
-        self.run_boxed_impl().0
-    }
-
-    #[cfg(test)]
-    #[allow(clippy::type_complexity)]
-    fn run_boxed_impl(&self) -> (SimulationResult, Vec<EventRecord>, u64, Option<Telemetry>) {
         let prev = FORCE_BOXED_POLICIES.with(|f| f.replace(true));
-        let out = self.run_impl(EngineMode::Slab, CostMode::Table, false);
+        let result = self.run_impl(false).0;
         FORCE_BOXED_POLICIES.with(|f| f.set(prev));
-        out
+        result
     }
 
     /// Runs and also reports the number of engine events processed (used by the
-    /// bench harness to size its workloads honestly).
-    pub fn run_counted(&self, mode: EngineMode) -> (SimulationResult, u64) {
-        let (result, _, events, _) = self.run_impl(mode, CostMode::Table, false);
+    /// bench harness to size its workloads honestly). [`EngineMode`] has one
+    /// variant; the argument is kept for the callers that name it.
+    pub fn run_counted(&self, _mode: EngineMode) -> (SimulationResult, u64) {
+        let (result, _, events, _) = self.run_impl(false);
         (result, events)
     }
 
-    #[allow(clippy::type_complexity)]
+    /// One run: the result, the event log (empty unless `capture_log`), the
+    /// number of delivered events and the final cluster state.
     fn run_impl(
         &self,
-        mode: EngineMode,
-        costs: CostMode,
         capture_log: bool,
-    ) -> (SimulationResult, Vec<EventRecord>, u64, Option<Telemetry>) {
+    ) -> (SimulationResult, Vec<EventRecord>, u64, ClusterState) {
         let requests = self.requests.clone();
-        let sim_costs = match costs {
-            CostMode::Table => {
-                let (decode, prefill) = self.tables();
-                SimCosts {
-                    mode: costs,
-                    decode: Some(decode.clone()),
-                    prefill: Some(prefill.clone()),
-                }
-            }
-            CostMode::Reference => SimCosts {
-                mode: costs,
-                decode: None,
-                prefill: None,
-            },
+        let (decode, prefill) = self.tables();
+        let sim_costs = SimCosts {
+            decode: decode.clone(),
+            prefill: prefill.clone(),
         };
         let profile = *self.profile();
         let cluster_cfg = &self.config.cluster;
@@ -335,7 +283,7 @@ impl Simulator {
 
         // --- Assemble the engine and the component fleet. (The fault plan and
         // topology were validated at construction time.) ---
-        let mut sim = Simulation::with_mode(self.config.trace.seed, mode);
+        let mut sim = Simulation::new(self.config.trace.seed);
         sim.set_log_enabled(capture_log);
         let driver = sim.create_context("driver");
         let frontend_ctx = sim.create_context("frontend");
@@ -1019,8 +967,14 @@ impl Simulator {
         };
         drop(cs);
         let events = sim.processed_count();
-        let telemetry = cluster.borrow_mut().tel.take().map(|ts| ts.tel);
-        (result, sim.take_log(), events, telemetry)
+        let log = sim.take_log();
+        // Dropping the engine drops every handler and the probe, the only
+        // other owners of the cluster state.
+        drop(sim);
+        let cluster = Rc::try_unwrap(cluster)
+            .unwrap_or_else(|_| panic!("the cluster state outlived its simulation"))
+            .into_inner();
+        (result, log, events, cluster)
     }
 }
 
@@ -1260,72 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_engine_reproduces_boxed_engine_trace_and_result() {
-        // The slab/inline-payload engine must reproduce the pre-change boxed
-        // engine on a seeded cluster run: identical event trace (every emission
-        // and delivery, in order) and identical SimulationResult (PartialEq on
-        // the result compares every f64 exactly).
-        for profile in [KvMethodProfile::baseline(), KvMethodProfile::hack()] {
-            let cfg = sim_config(profile, Dataset::Cocktail, 0.08, 40);
-            let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-            let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-            assert!(!slab_trace.is_empty());
-            assert_eq!(slab_trace, boxed_trace, "{}: event traces", profile.name);
-            assert_eq!(slab_result, boxed_result, "{}: results", profile.name);
-        }
-    }
-
-    #[test]
-    fn cost_tables_reproduce_reference_summation_end_to_end() {
-        // The prefix-sum/memoized cost layer changes only f64 summation order,
-        // so a seeded run must agree with the reference per-token loops on
-        // every record to within 1e-9 relative (and exactly on the discrete
-        // outcomes: completion order, replica placement, swap counts).
-        for profile in [
-            KvMethodProfile::baseline(),
-            KvMethodProfile::cachegen(),
-            KvMethodProfile::hack(),
-        ] {
-            let sim = Simulator::new(sim_config(profile, Dataset::Cocktail, 0.08, 50));
-            let table = sim.run_with_costs(CostMode::Table);
-            let reference = sim.run_with_costs(CostMode::Reference);
-            assert_eq!(table.records.len(), reference.records.len());
-            assert_eq!(table.swapped_requests, reference.swapped_requests);
-            assert_eq!(table.requeued_requests, reference.requeued_requests);
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-            for (t, r) in table.records.iter().zip(&reference.records) {
-                assert_eq!(
-                    t.request.id, r.request.id,
-                    "{}: completion order",
-                    profile.name
-                );
-                assert_eq!(t.prefill_replica, r.prefill_replica);
-                assert_eq!(t.decode_replica, r.decode_replica);
-                assert!(
-                    close(t.jct(), r.jct()),
-                    "{}: request {} jct {} vs {}",
-                    profile.name,
-                    t.request.id,
-                    t.jct(),
-                    r.jct()
-                );
-            }
-            assert!(close(table.average_jct(), reference.average_jct()));
-            assert!(close(table.makespan, reference.makespan));
-        }
-    }
-
-    #[test]
-    fn slab_engine_matches_boxed_under_fault_injection() {
-        let spec = FailureSpec::transient(0, 50.0, 400.0);
-        let cfg = failure_config(30, spec);
-        let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-        let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace);
-        assert_eq!(slab_result, boxed_result);
-    }
-
-    #[test]
     fn deterministic_given_identical_configuration() {
         let a = run(KvMethodProfile::hack(), Dataset::Arxiv, 0.1, 30);
         let b = run(KvMethodProfile::hack(), Dataset::Arxiv, 0.1, 30);
@@ -1406,20 +1294,92 @@ mod tests {
 
     #[test]
     fn mixed_fleet_runs_are_deterministic_across_engines_and_cost_modes() {
-        let cfg = mixed_config(KvMethodProfile::hack(), 35);
+        // A repeat run must reproduce the trace and result exactly;
+        // `golden_digests` pins this fleet's run bit for bit.
+        let sim = Simulator::new(mixed_config(KvMethodProfile::hack(), 35));
+        let (first, first_trace) = sim.run_traced();
+        let (again, again_trace) = sim.run_traced();
+        assert!(!first_trace.is_empty());
+        assert_eq!(first_trace, again_trace, "mixed fleet: event traces");
+        assert_eq!(first, again, "mixed fleet: results");
+    }
+
+    #[test]
+    fn cost_tables_reproduce_reference_summation_end_to_end() {
+        // After an end-to-end run on a fleet with two prefill and two decode
+        // groups, every memoized lookup of its cluster state must agree with
+        // the direct cost-model formulas and the per-token decode loop to
+        // 1e-9 relative: decode durations per decode group, prefill and
+        // quantization times per prefill group, and wire times per group
+        // pair, on prompt lengths the memo holds and on suffix lengths it
+        // does not.
+        let mut cfg = mixed_config(KvMethodProfile::hack(), 35);
+        let decode = *cfg.cluster.fleet.decode.get(0);
+        let slowest_prefill_nic = cfg
+            .cluster
+            .fleet
+            .prefill
+            .iter()
+            .map(|g| g.network_gbps)
+            .fold(f64::INFINITY, f64::min);
+        let mut params = cfg.cluster.cost_params;
+        params.decode_batch = 4.0;
+        // The second decode group's NIC is the bottleneck of its pairs.
+        cfg.cluster.fleet.decode = GroupSet::new(&[
+            ReplicaGroup {
+                replicas: 2,
+                ..decode
+            },
+            ReplicaGroup {
+                replicas: 2,
+                network_gbps: slowest_prefill_nic / 2.0,
+                cost_params: Some(params),
+                ..decode
+            },
+        ]);
         let sim = Simulator::new(cfg);
-        let (slab, slab_trace) = sim.run_traced(EngineMode::Slab);
-        let (boxed, boxed_trace) = sim.run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace, "mixed fleet: engine traces");
-        assert_eq!(slab, boxed, "mixed fleet: engine results");
-        let reference = sim.run_with_costs(CostMode::Reference);
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        assert_eq!(slab.records.len(), reference.records.len());
-        for (t, r) in slab.records.iter().zip(&reference.records) {
-            assert_eq!(t.request.id, r.request.id);
-            assert_eq!(t.prefill_replica, r.prefill_replica);
-            assert!(close(t.jct(), r.jct()));
+        let (_, _, _, cs) = sim.run_impl(false);
+        let fleet = &cfg.cluster.fleet;
+        let profile = &cfg.profile;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(f64::MIN_POSITIVE);
+        let mut off_table = 0;
+        for request in sim.requests.iter() {
+            for (dg, model) in cs.decode_models.iter().enumerate() {
+                let (d, q) = cs.decode_durations(dg, request);
+                let (rd, rq) = model.decode_durations_reference(
+                    profile,
+                    model.params.decode_batch,
+                    request.input_len,
+                    request.output_len,
+                );
+                assert!(
+                    close(d, rd) && close(q, rq),
+                    "decode group {dg}, request {}: ({d}, {q}) vs ({rd}, {rq})",
+                    request.id
+                );
+            }
+            // The full prompt and a prefix-cache suffix of it.
+            for prompt in [request.input_len, request.input_len / 3 + 1] {
+                for (pg, model) in cs.prefill_models.iter().enumerate() {
+                    let (p, q) = cs.prefill_service_times(pg, prompt);
+                    assert!(close(p, model.prefill_time(prompt, profile)));
+                    assert!(close(q, model.quantization_time(prompt, profile)));
+                    for dg in 0..fleet.decode.len() {
+                        let gbps = fleet
+                            .prefill
+                            .get(pg)
+                            .network_gbps
+                            .min(fleet.decode.get(dg).network_gbps);
+                        assert!(close(
+                            cs.transfer_duration_len(pg, dg, prompt),
+                            model.transfer_time(prompt, profile, gbps)
+                        ));
+                        off_table += usize::from(cs.costs.prefill[pg][dg].get(prompt).is_none());
+                    }
+                }
+            }
         }
+        assert!(off_table > 0, "no probed length fell off the memo");
     }
 
     #[test]
@@ -1643,10 +1603,11 @@ mod tests {
             165.0,
         ));
         cfg.faults = plan;
-        let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-        let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace);
-        assert_eq!(slab_result, boxed_result);
+        // Two fresh simulators must agree exactly under the storm.
+        let (first, first_trace) = Simulator::new(cfg).run_traced();
+        let (again, again_trace) = Simulator::new(cfg).run_traced();
+        assert_eq!(first_trace, again_trace);
+        assert_eq!(first, again);
     }
 
     #[test]

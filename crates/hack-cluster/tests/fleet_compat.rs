@@ -3,21 +3,19 @@
 //! A single-group [`FleetSpec`] **is** the legacy flat configuration: every
 //! test here pins that a hand-built single-group fleet reproduces the legacy
 //! constructors bit-for-bit (`PartialEq` on [`SimulationResult`] compares
-//! every f64 exactly) across engine modes, cost modes and frontend policies,
-//! and that pre-fleet serialized config snapshots decode through
+//! every f64 exactly), event for event and under every frontend policy, and
+//! that pre-fleet serialized config snapshots decode through
 //! [`ClusterConfig::from_value`].
 
 use hack_cluster::{
-    AdmissionPolicyKind, CacheConfig, ClusterConfig, CostMode, DispatchPolicyKind, FaultPlan,
-    FleetSpec, GroupSet, PolicyConfig, ReplicaGroup, RetryPolicy, SchedulingPolicyKind,
-    SimulationConfig, SimulationResult, Simulator, TelemetryConfig, TenantClass, TenantClasses,
-    TopologySpec,
+    AdmissionPolicyKind, CacheConfig, ClusterConfig, DispatchPolicyKind, FaultPlan, FleetSpec,
+    GroupSet, PolicyConfig, ReplicaGroup, RetryPolicy, SchedulingPolicyKind, SimulationConfig,
+    SimulationResult, Simulator, TelemetryConfig, TenantClass, TenantClasses, TopologySpec,
 };
 use hack_model::cost::{CostParams, KvMethodProfile};
 use hack_model::gpu::GpuKind;
 use hack_model::parallelism::Parallelism;
 use hack_model::spec::ModelKind;
-use hack_sim::EngineMode;
 use hack_workload::dataset::Dataset;
 use hack_workload::tenant::{MultiTenantTrace, TenantSpec};
 use hack_workload::trace::{TenantId, TraceConfig};
@@ -91,17 +89,16 @@ fn single_group_results_are_bit_identical_across_engine_and_cost_modes() {
         45,
     ));
     let fleet = Simulator::new(sim_config(hand_built_default(), 7, 45));
-    for mode in [EngineMode::Slab, EngineMode::Boxed] {
-        assert_eq!(
-            fleet.run_with_mode(mode),
-            legacy.run_with_mode(mode),
-            "{mode:?}: single-group fleet diverged from legacy"
-        );
-    }
+    // The fleet must match legacy event for event.
+    let (fleet_result, fleet_trace) = fleet.run_traced();
+    let (legacy_result, legacy_trace) = legacy.run_traced();
     assert_eq!(
-        fleet.run_with_costs(CostMode::Reference),
-        legacy.run_with_costs(CostMode::Reference),
-        "Reference costs: single-group fleet diverged from legacy"
+        fleet_trace, legacy_trace,
+        "single-group fleet trace diverged from legacy"
+    );
+    assert_eq!(
+        fleet_result, legacy_result,
+        "single-group fleet diverged from legacy"
     );
 }
 

@@ -6,8 +6,8 @@
 
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, ClusterConfig, CostMode, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig,
-    Simulator, TelemetryConfig,
+    CacheConfig, ClusterConfig, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
+    TelemetryConfig,
 };
 use hack_metrics::jct::{JctStats, StageRatios};
 use hack_model::gpu::GpuKind;
@@ -181,8 +181,7 @@ impl JctExperiment {
     /// once; each probe only rescales arrival times, bit-identical to a fresh
     /// trace at that rate) and, through the process-wide cost-table cache, one
     /// set of decode cost tables — so each probe re-runs only the event loop.
-    /// [`Self::measured_max_rps_reference`] keeps the uncached per-probe path;
-    /// both return bit-identical results (pinned by test).
+    /// A test pins the result bit-identical to fresh per-probe traces.
     ///
     /// Deterministic: probes reuse this experiment's trace seed.
     pub fn measured_max_rps(&self) -> f64 {
@@ -195,22 +194,6 @@ impl JctExperiment {
             let requests = Arc::new(template.instantiate(rps));
             Simulator::with_requests(config, requests)
                 .run()
-                .average_jct()
-        })
-    }
-
-    /// The pre-cache capacity measurement: every probe synthesises its trace
-    /// from scratch and evaluates costs through the reference summation loops
-    /// ([`CostMode::Reference`]). Kept as the benchmark "before" and as the
-    /// oracle [`Self::measured_max_rps`] must reproduce bit-identically.
-    pub fn measured_max_rps_reference(&self) -> f64 {
-        let n = self.num_requests.clamp(20, 40);
-        self.bisect_max_rps(|rps| {
-            let config = self
-                .probe_experiment(rps, n)
-                .simulation_config(Method::Baseline);
-            Simulator::new(config)
-                .run_with_costs(CostMode::Reference)
                 .average_jct()
         })
     }
@@ -351,14 +334,22 @@ mod tests {
 
     #[test]
     fn cached_bisection_is_bit_identical_to_the_reference_path() {
-        // The cached capacity measurement (shared trace template + cost
-        // tables) must make exactly the same accept/reject decisions as the
-        // uncached reference path, hence return the identical rate.
+        // The cached capacity measurement (shared trace template) must make
+        // exactly the same accept/reject decisions as the uncached path,
+        // which synthesises every probe's trace from scratch, hence return
+        // the identical rate.
         for dataset in [Dataset::Imdb, Dataset::Cocktail] {
             let e = small(dataset);
+            let n = e.num_requests.clamp(20, 40);
+            let uncached = e.bisect_max_rps(|rps| {
+                let config = e
+                    .probe_experiment(rps, n)
+                    .simulation_config(Method::Baseline);
+                Simulator::new(config).run().average_jct()
+            });
             assert_eq!(
                 e.measured_max_rps(),
-                e.measured_max_rps_reference(),
+                uncached,
                 "{}: cached and reference bisection disagree",
                 dataset.name()
             );

@@ -473,8 +473,8 @@ impl ReplicaCostModel {
     /// starting after a prompt of `input_len` tokens, summed sequentially — the
     /// O(`output_len`) loop [`crate::cost_table::DecodeCostTable`] replaces
     /// with prefix subtractions. Kept as the equivalence oracle the table path
-    /// is pinned against (and as the `CostMode::Reference` path of the cluster
-    /// simulator).
+    /// is pinned against (in this crate and by the cluster simulator's
+    /// cost-lookup tests).
     pub fn decode_durations_reference(
         &self,
         profile: &KvMethodProfile,

@@ -92,19 +92,14 @@ mod state;
 
 /// Engine representation: how events are queued and payloads stored.
 ///
-/// Both modes produce bit-identical event traces and results; they differ only
-/// in allocation behaviour and speed. [`EngineMode::Boxed`] is the seed
-/// implementation, retained so benchmarks and tests can measure/verify the
-/// slab engine against it.
+/// The engine has a single representation; APIs that take an `EngineMode`
+/// argument (such as `hack_cluster::Simulator::run_counted`) name it here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Free-list slab of event nodes behind a compact key heap; payloads up to
-    /// 24 bytes stored inline (no allocation per event). The default.
+    /// 24 bytes stored inline (no allocation per event).
     #[default]
     Slab,
-    /// Pre-change representation: full events in a `BinaryHeap`, every payload
-    /// boxed.
-    Boxed,
 }
 
 pub use context::SimulationContext;

@@ -1,13 +1,11 @@
 //! Event payload storage: small payloads inline, large ones boxed.
 //!
-//! The seed engine boxed every payload (`Box<dyn Any>`), which costs one heap
-//! allocation per emitted event — the dominant allocation source on
-//! multi-million-event runs. Almost every real payload is tiny (the cluster
-//! simulator's largest event is a single `usize`), so [`Payload::new`] stores
-//! values of at most [`Payload::INLINE_BYTES`] bytes (and alignment ≤ 8)
-//! directly inside the event node and only spills larger or over-aligned types
-//! to a `Box`. [`Payload::boxed`] forces the pre-change always-box behaviour
-//! and exists for the benchmark comparison and the equivalence tests.
+//! Boxing every payload (`Box<dyn Any>`) would cost one heap allocation per
+//! emitted event — the dominant allocation source on multi-million-event
+//! runs. Almost every real payload is tiny (the cluster simulator's largest
+//! event is a single `usize`), so [`Payload::new`] stores values of at most
+//! [`Payload::INLINE_BYTES`] bytes (and alignment ≤ 8) directly inside the
+//! event node and only spills larger or over-aligned types to a `Box`.
 
 use std::any::{Any, TypeId};
 use std::mem::{align_of, size_of, MaybeUninit};
@@ -60,14 +58,9 @@ impl Payload {
                 },
             }
         } else {
-            Self::boxed(value)
-        }
-    }
-
-    /// Wraps a payload in a `Box` unconditionally (the pre-change representation).
-    pub fn boxed<T: Any>(value: T) -> Self {
-        Self {
-            repr: Repr::Boxed(Box::new(value)),
+            Self {
+                repr: Repr::Boxed(Box::new(value)),
+            }
         }
     }
 
@@ -150,13 +143,6 @@ mod tests {
         let p = Payload::new(Large([1; 8]));
         assert!(!p.is_inline());
         assert_eq!(p.downcast_ref::<Large>(), Some(&Large([1; 8])));
-    }
-
-    #[test]
-    fn boxed_constructor_never_inlines() {
-        let p = Payload::boxed(3u8);
-        assert!(!p.is_inline());
-        assert_eq!(p.downcast_ref::<u8>(), Some(&3));
     }
 
     #[test]

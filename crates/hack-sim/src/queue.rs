@@ -1,17 +1,16 @@
 //! The time-ordered event queue: a free-list slab behind a compact key heap.
 //!
-//! The seed engine kept full [`Event`] structs inside a `BinaryHeap`, so every
-//! sift operation moved ~56 bytes (plus the boxed payload pointer chased on
-//! compare). The slab queue instead heapifies 24-byte [`EventKey`]s — exactly
-//! the `(time, id)` pair the ordering is defined on plus a slot index — and
-//! parks the event bodies in a slab (`Vec<Option<EventNode>>`) whose slots are
-//! recycled through a free list, so node storage is reused instead of
-//! reallocated as events churn.
+//! Heapifying whole [`Event`] structs would move ~56 bytes per sift step. The
+//! slab queue instead heapifies 24-byte `EventKey`s — exactly the `(time, id)`
+//! pair the ordering is defined on plus a slot index — and parks the event
+//! bodies in a slab (`Vec<Option<EventNode>>`) whose slots are recycled
+//! through a free list, so node storage is reused instead of reallocated as
+//! events churn.
 //!
-//! Delivery order is identical to the seed's `BinaryHeap<Event>` by
-//! construction: both pop by `(time, id)` with `f64::total_cmp` and ids are
-//! unique. [`BoxedEventQueue`] keeps the pre-change representation alive for
-//! the benchmark comparison and the equivalence tests.
+//! Delivery order is that of a `BinaryHeap<Event>` (the order of
+//! `impl Ord for Event`) by construction: both pop by `(time, id)` with
+//! `f64::total_cmp`, and ids are unique. The tests keep such a heap as the
+//! ordering oracle.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::payload::Payload;
@@ -128,78 +127,14 @@ impl SlabEventQueue {
     }
 }
 
-/// The pre-change queue: full events heapified directly. Kept for the
-/// benchmark comparison and as the ordering oracle in tests.
-#[derive(Debug, Default)]
-pub struct BoxedEventQueue {
-    events: BinaryHeap<Event>,
-}
-
-impl BoxedEventQueue {
-    /// Inserts an event.
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
-    /// Removes and returns the earliest event (by `(time, id)`).
-    pub fn pop(&mut self) -> Option<Event> {
-        self.events.pop()
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Queue representation selector (see [`crate::EngineMode`]).
-pub enum EventQueue {
-    /// Slab nodes + key heap, inline-capable payloads (the default).
-    Slab(SlabEventQueue),
-    /// Pre-change representation: boxed payloads heapified whole.
-    Boxed(BoxedEventQueue),
-}
-
-impl EventQueue {
-    /// Inserts an event.
-    pub fn push(&mut self, event: Event) {
-        match self {
-            EventQueue::Slab(q) => q.push(event),
-            EventQueue::Boxed(q) => q.push(event),
-        }
-    }
-
-    /// Removes and returns the earliest event (by `(time, id)`).
-    pub fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Slab(q) => q.pop(),
-            EventQueue::Boxed(q) => q.pop(),
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Slab(q) => q.len(),
-            EventQueue::Boxed(q) => q.len(),
-        }
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hack_tensor::DetRng;
+
+    /// Ordering oracle: whole events heapified directly, popped by
+    /// `impl Ord for Event`.
+    type BoxedEventQueue = BinaryHeap<Event>;
 
     fn event(id: EventId, time: f64) -> Event {
         Event {
@@ -264,12 +199,12 @@ mod tests {
 
     #[test]
     fn slab_order_matches_boxed_queue_on_random_workload() {
-        // The slab queue must reproduce the pre-change BinaryHeap<Event> delivery
-        // order exactly, including ties and interleaved push/pop churn.
+        // The slab queue must reproduce the BinaryHeap<Event> delivery order
+        // exactly, including ties and interleaved push/pop churn.
         for seed in 0..6 {
             let mut rng = DetRng::new(1000 + seed);
             let mut slab = SlabEventQueue::default();
-            let mut boxed = BoxedEventQueue::default();
+            let mut boxed = BoxedEventQueue::new();
             let mut next_id = 0u64;
             let mut clock = 0.0f64;
             for _ in 0..500 {

@@ -5,7 +5,6 @@ use crate::event::{ComponentId, Event};
 use crate::handler::EventHandler;
 use crate::log::EventRecord;
 use crate::state::SimState;
-use crate::EngineMode;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -25,29 +24,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates an empty simulation whose RNG is seeded with `seed`, using the
-    /// default slab/inline-payload engine.
+    /// Creates an empty simulation whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_mode(seed, EngineMode::Slab)
-    }
-
-    /// Creates an empty simulation with an explicit engine representation.
-    ///
-    /// [`EngineMode::Boxed`] reproduces the pre-slab engine (full events
-    /// heapified, every payload boxed); event traces and results are
-    /// bit-identical across modes — only allocation behaviour and speed differ.
-    pub fn with_mode(seed: u64, mode: EngineMode) -> Self {
         Self {
-            state: Rc::new(RefCell::new(SimState::new(seed, mode))),
+            state: Rc::new(RefCell::new(SimState::new(seed))),
             names: Vec::new(),
             handlers: Vec::new(),
             unhandled: 0,
         }
-    }
-
-    /// The engine representation this simulation runs on.
-    pub fn mode(&self) -> EngineMode {
-        self.state.borrow().mode()
     }
 
     /// Registers a component name and returns its context. The returned context
@@ -194,8 +178,20 @@ impl Simulation {
     /// (telemetry registries, debug counters, ...). The probe is deliberately
     /// outside the event system — reading or writing it can never perturb the
     /// clock, the queue or the RNG.
+    ///
+    /// A probe may hold [`SimulationContext`]s, which point back at the
+    /// engine; the simulation releases the probe when it drops, so that cycle
+    /// does not outlive it.
     pub fn install_probe<T: std::any::Any>(&mut self, probe: Rc<RefCell<T>>) {
         self.state.borrow_mut().set_probe(probe);
+    }
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // Taken out first so the probe's own drop runs outside the borrow.
+        let probe = self.state.borrow_mut().take_probe();
+        drop(probe);
     }
 }
 
@@ -330,25 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_and_boxed_modes_produce_identical_traces() {
-        // The slab/inline-payload engine must reproduce the pre-change boxed
-        // engine bit-for-bit: same event log, same final clock, same counts.
-        let run = |mode: crate::EngineMode| {
-            let mut sim = Simulation::with_mode(21, mode);
-            sim.set_log_enabled(true);
-            let counter = build_counter(&mut sim, 0.75);
-            let delay = counter.borrow().ctx.gen_range(0.0, 1.0);
-            counter.borrow().ctx.emit_self(Tick { n: 50 }, delay);
-            sim.run();
-            (sim.take_log(), sim.time().to_bits(), sim.processed_count())
-        };
-        let slab = run(crate::EngineMode::Slab);
-        let boxed = run(crate::EngineMode::Boxed);
-        assert_eq!(slab, boxed);
-    }
-
-    #[test]
-    fn slab_mode_delivers_small_payloads_inline_boxed_mode_never_does() {
+    fn small_payloads_are_delivered_inline() {
         struct Probe {
             inline_seen: Vec<bool>,
         }
@@ -357,20 +335,36 @@ mod tests {
                 self.inline_seen.push(event.payload_is_inline());
             }
         }
-        for (mode, expect_inline) in [
-            (crate::EngineMode::Slab, true),
-            (crate::EngineMode::Boxed, false),
-        ] {
-            let mut sim = Simulation::with_mode(1, mode);
-            let ctx = sim.create_context("probe");
-            ctx.emit_self(Tick { n: 1 }, 0.5);
-            let probe = Rc::new(RefCell::new(Probe {
-                inline_seen: Vec::new(),
-            }));
-            sim.add_handler("probe", probe.clone());
-            sim.run();
-            assert_eq!(probe.borrow().inline_seen, vec![expect_inline], "{mode:?}");
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("probe");
+        ctx.emit_self(Tick { n: 1 }, 0.5);
+        ctx.emit_self([0u64; 4], 0.75);
+        let probe = Rc::new(RefCell::new(Probe {
+            inline_seen: Vec::new(),
+        }));
+        sim.add_handler("probe", probe.clone());
+        sim.run();
+        // The 32-byte array spills to the heap; the tick stays inline.
+        assert_eq!(probe.borrow().inline_seen, vec![true, false]);
+    }
+
+    #[test]
+    fn dropping_the_simulation_frees_a_probe_holding_a_context() {
+        // The probe owns a context, which points back at the engine state
+        // that owns the probe: dropping the simulation must break the cycle.
+        struct Blackboard {
+            _ctx: SimulationContext,
         }
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("blackboard");
+        let probe = Rc::new(RefCell::new(Blackboard { _ctx: ctx }));
+        let weak = Rc::downgrade(&probe);
+        sim.install_probe(probe);
+        drop(sim);
+        assert!(
+            weak.upgrade().is_none(),
+            "the probe outlived its simulation"
+        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use crate::event::{ComponentId, Event, EventId};
 use crate::log::{EventRecord, RecordKind};
 use crate::payload::Payload;
-use crate::queue::{BoxedEventQueue, EventQueue, SlabEventQueue};
-use crate::EngineMode;
+use crate::queue::SlabEventQueue;
 use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
@@ -14,8 +13,7 @@ use std::rc::Rc;
 
 pub(crate) struct SimState {
     clock: f64,
-    mode: EngineMode,
-    events: EventQueue,
+    events: SlabEventQueue,
     canceled: HashSet<EventId>,
     next_event_id: EventId,
     processed: u64,
@@ -27,14 +25,10 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    pub fn new(seed: u64, mode: EngineMode) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
             clock: 0.0,
-            mode,
-            events: match mode {
-                EngineMode::Slab => EventQueue::Slab(SlabEventQueue::default()),
-                EngineMode::Boxed => EventQueue::Boxed(BoxedEventQueue::default()),
-            },
+            events: SlabEventQueue::default(),
             canceled: HashSet::new(),
             next_event_id: 0,
             processed: 0,
@@ -44,11 +38,6 @@ impl SimState {
             log_writer_error: None,
             probe: None,
         }
-    }
-
-    /// The engine representation this state was built with.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
     }
 
     pub fn time(&self) -> f64 {
@@ -103,6 +92,11 @@ impl SimState {
     /// [`crate::SimulationContext::probe`].
     pub fn set_probe(&mut self, probe: Rc<RefCell<dyn Any>>) {
         self.probe = Some(probe);
+    }
+
+    /// Removes and returns the installed probe.
+    pub fn take_probe(&mut self) -> Option<Rc<RefCell<dyn Any>>> {
+        self.probe.take()
     }
 
     /// The installed probe, if any.

@@ -3,7 +3,6 @@
 //! backward-compatibility contract at the experiment level.
 
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use hack_workload::tenant::{MultiTenantTrace, TenantSpec};
 use std::sync::Arc;
 
@@ -56,11 +55,12 @@ fn mixed_fleet_is_engine_mode_invariant() {
         Method::hack(),
         DispatchPolicyKind::FastestEligible,
     );
-    let sim = Simulator::new(config);
+    // `golden_digests` pins a mixed-fleet run and the hetero grid bit for
+    // bit; here, two fresh simulators must agree.
     assert_eq!(
-        sim.run_with_mode(EngineMode::Slab),
-        sim.run_with_mode(EngineMode::Boxed),
-        "engine modes must agree bit-for-bit on heterogeneous fleets"
+        Simulator::new(config).run(),
+        Simulator::new(config).run(),
+        "repeat runs must agree bit-for-bit on heterogeneous fleets"
     );
 }
 

@@ -6,16 +6,15 @@
 //! tenant (Cocktail, long prompts) driven past single-tenant capacity — and
 //! the assertions are the reasons the policy layer exists:
 //!
-//! * same seed ⇒ bit-identical per-tenant results, across runs and across
-//!   engine representations (`EngineMode::Slab` vs `Boxed`), and within 1e-9
-//!   across cost models (`CostMode::Table` vs `Reference`);
+//! * same seed ⇒ bit-identical per-tenant results across runs, and every
+//!   tenant's requests are charged the cost formulas' prefill and
+//!   quantization times to within 1e-9;
 //! * FCFS starves the interactive tenant behind the batch backlog, weighted
 //!   round-robin bounds its wait, SLO-EDF prioritises its deadlines — and
 //!   both measurably improve the Jain fairness index over FCFS.
 
-use hack_cluster::{CostMode, SchedulingPolicyKind, SimulationConfig, Simulator};
+use hack_cluster::{SchedulingPolicyKind, SimulationConfig, Simulator};
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use hack_workload::Request;
 use std::sync::Arc;
 
@@ -41,13 +40,12 @@ fn two_tenant_runs_are_bit_identical_across_runs_and_engine_modes() {
     let mix = contention_mix();
     for scheduling in SchedulingPolicyKind::all() {
         let config = mix_config(&mix, scheduling);
-        let run = |mode: EngineMode| {
-            Simulator::with_requests(config, mix_requests(&mix)).run_with_mode(mode)
-        };
-        let a = run(EngineMode::Slab);
-        let b = run(EngineMode::Slab);
+        let run = || Simulator::with_requests(config, mix_requests(&mix)).run();
+        let a = run();
+        let b = run();
         // PartialEq on SimulationResult compares every f64 exactly; equality
         // of the full results implies bit-identical per-tenant JctStats.
+        // (`golden_digests` pins the tenant-mix grid bit for bit.)
         assert_eq!(a, b, "{}: repeat run", scheduling.name());
         assert_eq!(
             a.per_tenant_stats(),
@@ -55,34 +53,45 @@ fn two_tenant_runs_are_bit_identical_across_runs_and_engine_modes() {
             "{}: per-tenant stats",
             scheduling.name()
         );
-        let boxed = run(EngineMode::Boxed);
-        assert_eq!(a, boxed, "{}: engine modes", scheduling.name());
         assert_eq!(a.records.len(), 85, "{}: all complete", scheduling.name());
     }
 }
 
 #[test]
 fn cost_table_and_reference_agree_per_tenant() {
+    // The memoized cost tables must charge every request, whichever tenant
+    // it belongs to and whatever order the scheduler serves it in, the
+    // prefill and quantization times the direct cost formulas give.
     let mix = contention_mix();
+    let requests = mix_requests(&mix);
     for scheduling in SchedulingPolicyKind::all() {
-        let sim = Simulator::with_requests(mix_config(&mix, scheduling), mix_requests(&mix));
-        let table = sim.run_with_costs(CostMode::Table);
-        let reference = sim.run_with_costs(CostMode::Reference);
-        // The cost tables only reorder f64 summation, so the discrete
-        // outcomes (who completed, where, per tenant) are identical and the
-        // per-tenant timings agree to 1e-9 relative.
-        assert_eq!(table.records.len(), reference.records.len());
-        let ts = table.per_tenant_stats();
-        let rs = reference.per_tenant_stats();
-        assert_eq!(ts.len(), rs.len(), "{}", scheduling.name());
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        for ((tt, t), (rt, r)) in ts.iter().zip(&rs) {
-            assert_eq!(tt, rt, "{}", scheduling.name());
-            assert_eq!(t.count, r.count, "{}: {tt} count", scheduling.name());
-            assert!(close(t.mean, r.mean), "{}: {tt} mean", scheduling.name());
-            assert!(close(t.p95, r.p95), "{}: {tt} p95", scheduling.name());
+        let config = mix_config(&mix, scheduling);
+        let model = config.cluster.prefill_cost_model(0);
+        let result = Simulator::with_requests(config, requests.clone()).run();
+        assert_eq!(result.records.len(), requests.len());
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-12);
+        for r in &result.records {
+            let prompt = r.request.input_len;
+            assert!(
+                close(
+                    r.breakdown.prefill,
+                    model.prefill_time(prompt, &config.profile)
+                ) && close(
+                    r.breakdown.quantization,
+                    model.quantization_time(prompt, &config.profile)
+                ),
+                "{}: {} request {} costs drifted from the formulas",
+                scheduling.name(),
+                r.request.tenant,
+                r.request.id
+            );
         }
-        assert!(close(table.jain_fairness(), reference.jain_fairness()));
+        assert_eq!(
+            result.per_tenant_stats().len(),
+            mix.tenants.len(),
+            "{}",
+            scheduling.name()
+        );
     }
 }
 

@@ -582,8 +582,7 @@ fn fcfs_policy_equals_default_on_single_tenant_traces() {
 // --- Robustness invariants: conservation under randomized fault plans
 // --- (topology-aware fabric, correlated switch faults, transfer retries).
 
-use hack_cluster::{CostMode, SimulationResult};
-use hack_sim::EngineMode;
+use hack_cluster::SimulationResult;
 
 /// A random non-overlapping fault plan over every fault-domain kind. When any
 /// chosen domain needs the link graph, the caller must have set a `LinkGraph`
@@ -653,20 +652,18 @@ fn conservation_holds_under_randomized_fault_plans_across_engines_and_cost_modes
         config.faults = random_fault_plan(&mut rng, &config.cluster);
         let total = config.trace.num_requests;
 
-        // The two engine layouts must agree bit-for-bit even mid-fault-storm.
-        let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
-        let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
-        assert_eq!(slab, boxed, "case {case}: engine divergence under faults");
-
-        // Conservation holds in every cost mode (Reference recomputes each
-        // stage time from first principles, so it reshuffles all timing).
-        let reference = Simulator::new(config).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, total, &format!("case {case} (table)"));
-        assert_conserved(&reference, total, &format!("case {case} (reference)"));
+        // Runs reproduce bit-for-bit even mid-fault-storm.
+        let result = Simulator::new(config).run();
+        let again = Simulator::new(config).run();
+        assert_eq!(
+            result, again,
+            "case {case}: repeat runs diverged under faults"
+        );
+        assert_conserved(&result, total, &format!("case {case}"));
 
         // Fault records stay within the plan's bounds.
-        assert_eq!(slab.faults.len(), config.faults.len());
-        for f in &slab.faults {
+        assert_eq!(result.faults.len(), config.faults.len());
+        for f in &result.faults {
             assert!(f.requests_aborted <= total);
             assert!(f.downtime_secs >= 0.0);
         }
@@ -797,17 +794,15 @@ fn conservation_holds_under_generated_plans_across_engines_and_cost_modes() {
         config.faults = model.generate_plan(&config.cluster.fleet_shape(), horizon, rng.next_u64());
         let total = config.trace.num_requests;
 
-        let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
-        let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
-        assert_eq!(slab, boxed, "case {case}: engine divergence");
-        let reference = Simulator::new(config).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, total, &format!("case {case} (table)"));
-        assert_conserved(&reference, total, &format!("case {case} (reference)"));
+        let result = Simulator::new(config).run();
+        let again = Simulator::new(config).run();
+        assert_eq!(result, again, "case {case}: repeat runs diverged");
+        assert_conserved(&result, total, &format!("case {case}"));
 
         // Degradation exposure only ever comes from degrade-tagged events.
         if config.faults.iter().all(|e| e.degrade.is_none()) {
-            assert_eq!(slab.degraded_link_secs, 0.0, "case {case}");
-            assert_eq!(slab.throughput_loss_gbps_s, 0.0, "case {case}");
+            assert_eq!(result.degraded_link_secs, 0.0, "case {case}");
+            assert_eq!(result.throughput_loss_gbps_s, 0.0, "case {case}");
         }
     }
 }
@@ -919,22 +914,14 @@ fn session_conservation_holds_across_engines_and_cost_modes() {
     for case in 0..6 {
         let mut rng = DetRng::new(24_000 + case);
         let (config, requests) = random_session_workload(&mut rng);
-        let slab =
-            Simulator::with_requests(config, requests.clone()).run_with_mode(EngineMode::Slab);
-        let boxed =
-            Simulator::with_requests(config, requests.clone()).run_with_mode(EngineMode::Boxed);
+        let run = || Simulator::with_requests(config, requests.clone()).run();
+        let result = run();
         assert_eq!(
-            slab, boxed,
-            "case {case}: engine divergence on session DAGs"
+            result,
+            run(),
+            "case {case}: repeat runs diverged on session DAGs"
         );
-        let reference =
-            Simulator::with_requests(config, requests.clone()).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, requests.len(), &format!("case {case} (table)"));
-        assert_conserved(
-            &reference,
-            requests.len(),
-            &format!("case {case} (reference)"),
-        );
+        assert_conserved(&result, requests.len(), &format!("case {case}"));
     }
 }
 
