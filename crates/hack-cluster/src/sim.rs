@@ -249,7 +249,7 @@ impl Simulator {
     }
 
     /// Runs and also reports the number of engine events processed (used by the
-    /// bench harness to size its workloads honestly). [`EngineMode`] has one
+    /// repository benchmark to report ns per event). [`EngineMode`] has one
     /// variant; the argument is kept for the callers that name it.
     pub fn run_counted(&self, _mode: EngineMode) -> (SimulationResult, u64) {
         let (result, _, events, _) = self.run_impl(false);

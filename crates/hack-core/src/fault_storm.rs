@@ -7,8 +7,8 @@
 //! replica, NIC, ToR switch, spine). Every scenario reports the resilience
 //! sensors of [`SimulationResult`]: blast radius, retries, goodput while
 //! degraded, and recovery-drain time. The `flat/no-fault` row doubles as the
-//! equivalence anchor: it runs the exact pre-topology configuration, so the
-//! bench harness can pin it against the legacy baseline.
+//! equivalence anchor: it runs the exact pre-topology configuration, so it
+//! can be pinned against the legacy baseline.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;
@@ -215,8 +215,8 @@ pub struct FaultStormOutcome {
 }
 
 impl FaultStormOutcome {
-    /// Aggregates a finished simulation result (also used by the bench
-    /// harness, which times the raw runs itself).
+    /// Aggregates a finished simulation result (also for callers that run the
+    /// simulation themselves).
     pub fn from_result(label: &str, result: SimulationResult) -> Self {
         Self {
             label: label.to_string(),

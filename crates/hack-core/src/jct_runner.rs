@@ -225,9 +225,9 @@ impl JctExperiment {
         }
     }
 
-    /// Builds the full simulation configuration for one method (also used by the
-    /// bench harness to drive the [`Simulator`] directly, e.g. with an explicit
-    /// engine mode).
+    /// Builds the full simulation configuration for one method (also for
+    /// callers that drive the [`Simulator`] directly, such as the repository
+    /// benchmark).
     pub fn simulation_config(&self, method: Method) -> SimulationConfig {
         SimulationConfig {
             cluster: self.cluster_config(),

@@ -12,7 +12,7 @@
 //! * [`fidelity`] — numerical-fidelity experiments on the reference transformer and on
 //!   raw attention tensors: the accuracy proxy behind Tables 6–8.
 //! * [`experiment`] — output helpers: result tables that print like the paper's
-//!   figures/tables and serialise to JSON for the bench harness.
+//!   figures/tables and serialise to JSON for the experiment binaries.
 //!
 //! ## Quick start
 //!

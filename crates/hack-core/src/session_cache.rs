@@ -7,7 +7,8 @@
 //! (hit rate, bytes saved, prefill seconds avoided);
 //! [`SessionCacheExperiment::grid`] sweeps the chat/agentic/mixed workloads
 //! against cache off/on and the least-loaded vs session-affinity dispatchers
-//! into one result table — the `session_cache` section of the bench harness.
+//! into one result table — the `session_cache` grid the `scenarios` binary
+//! prints.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;
@@ -262,8 +263,8 @@ pub struct SessionCacheOutcome {
 }
 
 impl SessionCacheOutcome {
-    /// Aggregates a finished simulation result into the outcome (also used by
-    /// the bench harness, which times the raw runs itself).
+    /// Aggregates a finished simulation result into the outcome (also for
+    /// callers that run the simulation themselves).
     pub fn from_result(
         mix: SessionMix,
         cache_on: bool,

@@ -7,7 +7,7 @@
 //! scheduling policy) pair on the merged trace and returns per-tenant JCT
 //! statistics, the Jain fairness index and SLO attainment;
 //! [`TenantMixExperiment::grid`] sweeps every shipped scheduling policy into
-//! one result table — the `tenant_mix` experiment grid of the bench harness.
+//! one result table — the `tenant_mix` grid the `scenarios` binary prints.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;
@@ -248,7 +248,7 @@ pub struct TenantMixOutcome {
 
 impl TenantMixOutcome {
     /// Aggregates a finished simulation result into the per-tenant outcome
-    /// (also used by the bench harness, which times the raw runs itself).
+    /// (also for callers that run the simulation themselves).
     pub fn from_result_with_classes(
         scheduling: SchedulingPolicyKind,
         classes: &TenantClasses,

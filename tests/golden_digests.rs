@@ -3,11 +3,13 @@
 //!
 //! Each constant pins a whole run bit for bit: the engine event log (every
 //! emission and delivery, in order) and the `SimulationResult` of a few
-//! hand-picked configurations, and the outcome grid of every experiment the
-//! bench harness anchors. The constants were recorded while the simulator
-//! still carried a second engine layout (every payload boxed, whole events
-//! heapified) and a second cost path (per-token reference loops), and each
-//! came out identical under both engines. A change that moves one of them
+//! hand-picked configurations, and the outcome grid of every scenario
+//! experiment, both at a small size (`"grid"`) and at the paper size the
+//! `scenarios` binary prints (`"paper"`). The run and small-grid constants
+//! were recorded while the simulator still carried a second engine layout
+//! (every payload boxed, whole events heapified) and a second cost path
+//! (per-token reference loops), and each came out identical under both
+//! engines. A change that moves one of them
 //! changed what the simulator computes; if that was intended, re-pin the new
 //! value printed by the failure and say why in the change description.
 
@@ -265,11 +267,18 @@ fn tenant_mix_grid() {
     let mut mix = TenantMixExperiment::interactive_vs_batch();
     mix.tenants[0].num_requests = 8;
     mix.tenants[1].num_requests = 30;
-    check(&[(
-        "grid",
-        digest(&mix.grid(Method::hack())),
-        0x5768_8fa2_5ca1_e87a,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&mix.grid(Method::hack())),
+            0x5768_8fa2_5ca1_e87a,
+        ),
+        (
+            "paper",
+            digest(&TenantMixExperiment::interactive_vs_batch().grid(Method::hack())),
+            0xb1a9_6677_189d_fd1c,
+        ),
+    ]);
 }
 
 #[test]
@@ -278,11 +287,18 @@ fn hetero_fleet_grid() {
         num_requests: 25,
         ..HeteroFleetExperiment::paper_mixed()
     };
-    check(&[(
-        "grid",
-        digest(&hetero.grid(Method::hack())),
-        0x4942_045e_b9d6_69a1,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&hetero.grid(Method::hack())),
+            0x4942_045e_b9d6_69a1,
+        ),
+        (
+            "paper",
+            digest(&HeteroFleetExperiment::paper_mixed().grid(Method::hack())),
+            0xeb27_59b3_3e1c_7183,
+        ),
+    ]);
 }
 
 #[test]
@@ -291,11 +307,18 @@ fn fault_storm_grid() {
         num_requests: 25,
         ..FaultStormExperiment::paper_storm()
     };
-    check(&[(
-        "grid",
-        digest(&storm.grid(Method::hack())),
-        0xd83c_8567_250c_24eb,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&storm.grid(Method::hack())),
+            0xd83c_8567_250c_24eb,
+        ),
+        (
+            "paper",
+            digest(&FaultStormExperiment::paper_storm().grid(Method::hack())),
+            0x8060_bddd_cb02_dd08,
+        ),
+    ]);
 }
 
 #[test]
@@ -303,11 +326,18 @@ fn availability_grid() {
     let mut sweep = AvailabilityExperiment::paper_sweep();
     sweep.num_requests = 15;
     sweep.fault_seeds.truncate(2);
-    check(&[(
-        "grid",
-        digest(&sweep.grid(Method::hack())),
-        0x07f5_e9b8_c392_727b,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&sweep.grid(Method::hack())),
+            0x07f5_e9b8_c392_727b,
+        ),
+        (
+            "paper",
+            digest(&AvailabilityExperiment::paper_sweep().grid(Method::hack())),
+            0x75ab_d971_5049_5f62,
+        ),
+    ]);
 }
 
 #[test]
@@ -316,11 +346,18 @@ fn autoscale_grid() {
         num_requests: 20,
         ..AutoscaleExperiment::paper_sweep()
     };
-    check(&[(
-        "grid",
-        digest(&auto.grid(Method::hack())),
-        0xe2f6_902a_b235_131b,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&auto.grid(Method::hack())),
+            0xe2f6_902a_b235_131b,
+        ),
+        (
+            "paper",
+            digest(&AutoscaleExperiment::paper_sweep().grid(Method::hack())),
+            0x7395_6f79_4f9f_6721,
+        ),
+    ]);
 }
 
 #[test]
@@ -329,9 +366,16 @@ fn session_cache_grid() {
         sessions: 3,
         ..SessionCacheExperiment::paper_default()
     };
-    check(&[(
-        "grid",
-        digest(&sessions.grid(Method::hack())),
-        0x687b_f6b5_1235_5b10,
-    )]);
+    check(&[
+        (
+            "grid",
+            digest(&sessions.grid(Method::hack())),
+            0x687b_f6b5_1235_5b10,
+        ),
+        (
+            "paper",
+            digest(&SessionCacheExperiment::paper_default().grid(Method::hack())),
+            0x1ecc_1559_bd32_20cc,
+        ),
+    ]);
 }
