@@ -120,9 +120,10 @@ impl DecodeReplica {
             .saturating_sub(cs.requests[req].total_tokens());
         cs.states[req].reserved = false;
         let pending = cs.states[req].pending_decode.take();
+        debug_assert!(!cs.states[req].done, "request {req} finished twice");
         cs.states[req].finish_time = now;
         cs.states[req].done = true;
-        cs.completed += 1;
+        cs.completed.push(req);
         let started = pending.map_or(now, |(_, started)| started);
         let jct = now - cs.requests[req].arrival;
         if let Some(tel) = &mut cs.tel {

@@ -345,7 +345,9 @@ pub(crate) struct ClusterState {
     /// prefill fleet down); drained on prefill recovery.
     pub waiting_for_prefill: VecDeque<usize>,
     pub fabric: network::NetworkFabric,
-    pub completed: usize,
+    /// Completed requests in completion order. Decode finishes are delivered
+    /// in time order, so finish times never decrease along it.
+    pub completed: Vec<usize>,
     pub rejected: usize,
     /// Admission rejections per tenant (index = tenant id).
     pub rejected_per_tenant: [usize; crate::policy::MAX_TENANTS],

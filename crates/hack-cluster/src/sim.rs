@@ -480,7 +480,7 @@ impl Simulator {
                     )
                 }
             },
-            completed: 0,
+            completed: Vec::with_capacity(num_requests),
             rejected: 0,
             rejected_per_tenant: [0; crate::policy::MAX_TENANTS],
             swapped: 0,
@@ -600,7 +600,7 @@ impl Simulator {
             // the ticker machinery.
             while {
                 let cs = cluster.borrow();
-                cs.completed + cs.rejected < num_requests
+                cs.completed.len() + cs.rejected < num_requests
             } {
                 if !sim.step() {
                     break;
@@ -626,7 +626,7 @@ impl Simulator {
             // over exactly the same event set.
             while {
                 let cs = cluster.borrow();
-                cs.completed + cs.rejected < num_requests
+                cs.completed.len() + cs.rejected < num_requests
             } {
                 let ticks_before = sampler_ticks.get() + scale_ticks.get();
                 if !sim.step() {
@@ -650,13 +650,9 @@ impl Simulator {
         let params_bytes = cluster_cfg.model.spec().param_bytes_fp16();
         let peak_kv = cs.decode.iter().map(|d| d.peak_kv).fold(0.0, f64::max);
 
-        let mut records: Vec<RequestRecord> = cs
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| cs.states[*i].done)
-            .map(|(i, r)| {
-                let s = &cs.states[i];
+        let records: Vec<RequestRecord> = record_order(&cs.completed, &cs.states)
+            .map(|i| {
+                let (r, s) = (&cs.requests[i], &cs.states[i]);
                 RequestRecord {
                     request: *r,
                     prefill_replica: s.prefill_replica,
@@ -679,7 +675,6 @@ impl Simulator {
                 }
             })
             .collect();
-        records.sort_by(|a, b| a.finish_time.partial_cmp(&b.finish_time).unwrap());
 
         // --- Per-group usage summaries. ---
         let mut prefill_groups: Vec<GroupStats> = cluster_cfg
@@ -978,6 +973,24 @@ impl Simulator {
     }
 }
 
+/// Completed request indices in record order: by finish time, ties by request
+/// index — the order a stable sort of the records by finish time gives.
+/// `completed` is in completion order, already by finish time, so sorting its
+/// 16-byte keys only reorders ties and costs little; the caller then builds
+/// each record in place instead of sorting the records themselves.
+fn record_order(completed: &[usize], states: &[ReqState]) -> impl Iterator<Item = usize> {
+    let mut order: Vec<(f64, usize)> = completed
+        .iter()
+        .map(|&i| (states[i].finish_time, i))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("finish times are event times, never NaN")
+            .then(a.1.cmp(&b.1))
+    });
+    order.into_iter().map(|(_, i)| i)
+}
+
 /// The replica indices (prefill side, decode side) a fault domain takes down.
 ///
 /// Replica and NIC domains fail one replica (a dead NIC isolates its replica:
@@ -1023,6 +1036,21 @@ mod tests {
     use hack_model::spec::ModelKind;
     use hack_workload::dataset::Dataset;
     use hack_workload::trace::TraceConfig;
+
+    #[test]
+    fn record_order_sorts_by_finish_time_then_index() {
+        let finishes = [2.0, 1.0, 2.0, 1.0, 3.0];
+        let states: Vec<ReqState> = finishes
+            .iter()
+            .map(|&finish_time| ReqState {
+                finish_time,
+                ..ReqState::default()
+            })
+            .collect();
+        // Completion order breaks both ties against the index.
+        let order: Vec<usize> = record_order(&[3, 1, 2, 0, 4], &states).collect();
+        assert_eq!(order, vec![1, 3, 0, 2, 4]);
+    }
 
     fn sim_config(
         profile: KvMethodProfile,

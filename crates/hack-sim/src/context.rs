@@ -75,9 +75,10 @@ impl SimulationContext {
         self.emit(payload, self.id, delay)
     }
 
-    /// Cancels a previously emitted event. Canceling an already-delivered id is
-    /// a no-op (though it retains a set entry until the run ends), and an id
-    /// that was never issued is ignored entirely.
+    /// Cancels a previously emitted event: it stays queued and is dropped when
+    /// popped. Canceling an already-delivered id is a no-op (it sets a mark
+    /// nothing reads again; marks cost at most one bit per emitted id), and
+    /// an id that was never issued is ignored entirely.
     pub fn cancel_event(&self, id: EventId) {
         self.state.borrow_mut().cancel_event(id);
     }

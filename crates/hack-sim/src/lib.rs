@@ -96,8 +96,10 @@ mod state;
 /// argument (such as `hack_cluster::Simulator::run_counted`) name it here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Free-list slab of event nodes behind a compact key heap; payloads up to
-    /// 24 bytes stored inline (no allocation per event).
+    /// Free-list slab of event nodes behind a sorted lane (events pushed in
+    /// time order) and a compact key heap (the rest); cancellation marks of
+    /// one bit per event id; payloads up to 24 bytes stored inline (no
+    /// allocation per event).
     #[default]
     Slab,
 }

@@ -1,28 +1,50 @@
-//! The time-ordered event queue: a free-list slab behind a compact key heap.
+//! The time-ordered event queue: a sorted run lane and a compact key heap in
+//! front of a free-list slab of event bodies.
 //!
-//! Heapifying whole [`Event`] structs would move ~56 bytes per sift step. The
-//! slab queue instead heapifies 24-byte `EventKey`s — exactly the `(time, id)`
-//! pair the ordering is defined on plus a slot index — and parks the event
-//! bodies in a slab (`Vec<Option<EventNode>>`) whose slots are recycled
+//! Queue order lives in 24-byte `EventKey`s — exactly the `(time, id)` pair
+//! the ordering is defined on plus a slot index; heapifying whole [`Event`]s
+//! would move ~56 bytes per sift step — while the event bodies are
+//! parked in a slab (`Vec<Option<EventNode>>`) whose slots are recycled
 //! through a free list, so node storage is reused instead of reallocated as
-//! events churn.
+//! events churn. A key goes to one of two places:
 //!
-//! Delivery order is that of a `BinaryHeap<Event>` (the order of
-//! `impl Ord for Event`) by construction: both pop by `(time, id)` with
-//! `f64::total_cmp`, and ids are unique. The tests keep such a heap as the
-//! ordering oracle.
+//! * the **lane**, a `VecDeque` kept sorted by `(time, id)`: a key that does
+//!   not precede the lane's tail is appended there in O(1). Events pushed in
+//!   time order — a trace's arrivals, seeded up front — never enter the heap.
+//! * the **heap**, a `BinaryHeap` of keys, for everything else (in a cluster
+//!   run, the in-flight events scheduled before the last queued arrival).
+//!
+//! `pop` takes the earlier of the lane front and the heap top, so the heap is
+//! only as deep as the out-of-order traffic. Delivery order is that of a
+//! `BinaryHeap<Event>` (the order of `impl Ord for Event`) by construction:
+//! both parts pop by `(time, id)` with `f64::total_cmp`, and ids are unique.
+//! The tests keep such a heap as the ordering oracle.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::payload::Payload;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Heap key: the total order `(time, id)` plus the slab slot of the body.
+/// Queue key: the total order `(time, id)` plus the slab slot of the body.
 #[derive(Debug, Clone, Copy)]
 struct EventKey {
     time: f64,
     id: EventId,
     slot: u32,
+}
+
+impl EventKey {
+    /// Delivery order: `(time, id)` ascending.
+    fn delivery_cmp(&self, other: &Self) -> Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.id.cmp(&other.id))
+    }
+
+    /// Whether `self` is delivered before `other`.
+    fn precedes(&self, other: &Self) -> bool {
+        self.delivery_cmp(other).is_lt()
+    }
 }
 
 impl PartialEq for EventKey {
@@ -37,10 +59,7 @@ impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed so the max-heap pops the earliest (time, id) — the same
         // order as the seed's `impl Ord for Event`.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
+        other.delivery_cmp(self)
     }
 }
 
@@ -50,7 +69,7 @@ impl PartialOrd for EventKey {
     }
 }
 
-/// Event body parked in the slab while the key waits in the heap.
+/// Event body parked in the slab while its key waits in the lane or the heap.
 struct EventNode {
     src: ComponentId,
     dst: ComponentId,
@@ -61,7 +80,8 @@ struct EventNode {
 /// Slab-backed event queue (see module docs).
 #[derive(Default)]
 pub struct SlabEventQueue {
-    keys: BinaryHeap<EventKey>,
+    lane: VecDeque<EventKey>,
+    heap: BinaryHeap<EventKey>,
     nodes: Vec<Option<EventNode>>,
     free: Vec<u32>,
 }
@@ -87,16 +107,28 @@ impl SlabEventQueue {
                 slot
             }
         };
-        self.keys.push(EventKey {
+        let key = EventKey {
             time: event.time,
             id: event.id,
             slot,
-        });
+        };
+        match self.lane.back() {
+            Some(tail) if key.precedes(tail) => self.heap.push(key),
+            _ => self.lane.push_back(key),
+        }
     }
 
     /// Removes and returns the earliest event (by `(time, id)`).
     pub fn pop(&mut self) -> Option<Event> {
-        let key = self.keys.pop()?;
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(front), Some(top)) => front.precedes(top),
+            (lane, _) => lane.is_some(),
+        };
+        let key = if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         let node = self.nodes[key.slot as usize]
             .take()
             .expect("slab slot vacated while its key was still queued");
@@ -111,14 +143,14 @@ impl SlabEventQueue {
         })
     }
 
-    /// Number of queued events.
+    /// Number of queued events (lane and heap).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.lane.len() + self.heap.len()
     }
 
-    /// Whether the queue is empty.
+    /// Whether the queue is empty (lane and heap).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
     /// Capacity of the node slab (allocated once, then recycled).
@@ -197,6 +229,80 @@ mod tests {
         );
     }
 
+    /// Pops one event from each queue and checks they agree, together with
+    /// the queue lengths before and after.
+    fn pop_both(slab: &mut SlabEventQueue, boxed: &mut BoxedEventQueue) -> Option<Event> {
+        assert_eq!(slab.len(), boxed.len());
+        assert_eq!(slab.is_empty(), boxed.is_empty());
+        let (a, b) = (slab.pop(), boxed.pop());
+        assert_eq!(slab.len(), boxed.len());
+        match (a, b) {
+            (None, None) => None,
+            (Some(a), Some(b)) => {
+                assert_eq!((a.id, a.time.to_bits()), (b.id, b.time.to_bits()));
+                Some(a)
+            }
+            (a, b) => panic!("queue lengths diverged: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn sorted_pushes_take_the_lane_and_others_the_heap() {
+        let mut q = SlabEventQueue::default();
+        for (id, time) in [(0, 1.0), (1, 2.0), (2, 2.0), (3, 4.0)] {
+            q.push(event(id, time));
+        }
+        assert_eq!((q.lane.len(), q.heap.len()), (4, 0));
+        // Before the tail: heap. At or after the tail: lane.
+        q.push(event(4, 2.0));
+        q.push(event(5, 4.0));
+        assert_eq!((q.lane.len(), q.heap.len(), q.len()), (5, 1, 6));
+        let order: Vec<EventId> = std::iter::from_fn(|| q.pop()).map(|e| e.id).collect();
+        assert_eq!(order, vec![0, 1, 2, 4, 3, 5]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn lane_and_heap_order_matches_boxed_queue_after_a_sorted_batch() {
+        // A sorted batch seeded up front (like a trace's arrivals) fills the
+        // lane; churn at times that collide with queued lane entries then
+        // fills the heap, so pops tie-break between the two parts by id.
+        let mut lane_heap_ties = 0;
+        for seed in 0..6 {
+            let mut rng = DetRng::new(2000 + seed);
+            let mut slab = SlabEventQueue::default();
+            let mut boxed = BoxedEventQueue::new();
+            let mut next_id = 0u64;
+            let mut arrival = 0.0f64;
+            for _ in 0..300 {
+                arrival += (rng.range_usize(0, 3) as f64) * 0.5;
+                slab.push(event(next_id, arrival));
+                boxed.push(event(next_id, arrival));
+                next_id += 1;
+            }
+            assert_eq!((slab.lane.len(), slab.heap.len()), (300, 0));
+            let mut clock = 0.0f64;
+            for _ in 0..1500 {
+                if rng.chance(0.45) {
+                    let time = clock + (rng.range_usize(0, 8) as f64) * 0.5;
+                    slab.push(event(next_id, time));
+                    boxed.push(event(next_id, time));
+                    next_id += 1;
+                } else {
+                    if let (Some(front), Some(top)) = (slab.lane.front(), slab.heap.peek()) {
+                        lane_heap_ties += usize::from(front.time == top.time);
+                    }
+                    if let Some(e) = pop_both(&mut slab, &mut boxed) {
+                        clock = e.time;
+                    }
+                }
+            }
+            while pop_both(&mut slab, &mut boxed).is_some() {}
+            assert!(slab.is_empty() && slab.lane.is_empty() && slab.heap.is_empty());
+        }
+        assert!(lane_heap_ties > 100, "only {lane_heap_ties} lane/heap ties");
+    }
+
     #[test]
     fn slab_order_matches_boxed_queue_on_random_workload() {
         // The slab queue must reproduce the BinaryHeap<Event> delivery order
@@ -215,21 +321,10 @@ mod tests {
                     boxed.push(event(next_id, time));
                     next_id += 1;
                 } else {
-                    let a = slab.pop().unwrap();
-                    let b = boxed.pop().unwrap();
-                    assert_eq!((a.id, a.time.to_bits()), (b.id, b.time.to_bits()));
-                    clock = a.time;
+                    clock = pop_both(&mut slab, &mut boxed).unwrap().time;
                 }
             }
-            loop {
-                match (slab.pop(), boxed.pop()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.id, a.time.to_bits()), (b.id, b.time.to_bits()))
-                    }
-                    (a, b) => panic!("queue lengths diverged: {a:?} vs {b:?}"),
-                }
-            }
+            while pop_both(&mut slab, &mut boxed).is_some() {}
         }
     }
 }

@@ -90,10 +90,9 @@ impl Simulation {
         match event {
             None => false,
             Some(event) => {
-                let handler = self.handlers.get(event.dst).cloned().flatten();
-                match handler {
-                    Some(handler) => handler.borrow_mut().on(event),
-                    None => self.unhandled += 1,
+                match self.handlers.get(event.dst) {
+                    Some(Some(handler)) => handler.borrow_mut().on(event),
+                    _ => self.unhandled += 1,
                 }
                 true
             }
@@ -256,6 +255,48 @@ mod tests {
         sim.run();
         assert_eq!(counter.borrow().seen, vec![0]);
         assert_eq!(sim.processed_count(), 1);
+    }
+
+    #[test]
+    fn cancellation_covers_lane_heap_unissued_delivered_and_repeated_ids() {
+        struct Recorder {
+            seen: Vec<u32>,
+        }
+        impl EventHandler for Recorder {
+            fn on(&mut self, event: Event) {
+                self.seen.push(event.get::<Tick>().unwrap().n);
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("recorder");
+        let recorder = Rc::new(RefCell::new(Recorder { seen: Vec::new() }));
+        sim.add_handler("recorder", recorder.clone());
+
+        // Emitted in time order, 10 and 11 queue in the sorted lane; 12 and
+        // 13 precede the lane's tail and queue in the heap.
+        ctx.emit_self(Tick { n: 10 }, 5.0);
+        let in_lane = ctx.emit_self(Tick { n: 11 }, 6.0);
+        let in_heap = ctx.emit_self(Tick { n: 12 }, 1.0);
+        let delivered = ctx.emit_self(Tick { n: 13 }, 2.0);
+        ctx.cancel_event(in_lane);
+        ctx.cancel_event(in_heap);
+        ctx.cancel_event(in_heap);
+        // Not issued yet: must not cancel the event that later gets this id.
+        let unissued = sim.emitted_count();
+        ctx.cancel_event(unissued);
+        ctx.cancel_event(unissued + 1000);
+        // Canceled events stay queued until popped.
+        assert_eq!(sim.queue_len(), 4);
+
+        assert!(sim.step());
+        assert_eq!(recorder.borrow().seen, vec![13]);
+        // Canceling a delivered id is a no-op for every later event.
+        ctx.cancel_event(delivered);
+        assert_eq!(ctx.emit_self(Tick { n: 14 }, 1.0), unissued);
+        ctx.emit_self(Tick { n: 15 }, 10.0);
+        sim.run();
+        assert_eq!(recorder.borrow().seen, vec![13, 14, 10, 15]);
+        assert_eq!((sim.processed_count(), sim.queue_len()), (4, 0));
     }
 
     #[test]

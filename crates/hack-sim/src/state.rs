@@ -1,4 +1,4 @@
-//! Internal shared state: clock, event queue, cancellation set, RNG, log.
+//! Internal shared state: clock, event queue, cancellation bitset, RNG, log.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::log::{EventRecord, RecordKind};
@@ -7,14 +7,16 @@ use crate::queue::SlabEventQueue;
 use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::io::Write;
 use std::rc::Rc;
 
 pub(crate) struct SimState {
     clock: f64,
     events: SlabEventQueue,
-    canceled: HashSet<EventId>,
+    /// Cancellation marks, one bit per event id (`id / 64`, `id % 64`); grown
+    /// on demand up to the highest canceled id, so empty on runs that never
+    /// cancel.
+    canceled: Vec<u64>,
     next_event_id: EventId,
     processed: u64,
     rng: DetRng,
@@ -29,7 +31,7 @@ impl SimState {
         Self {
             clock: 0.0,
             events: SlabEventQueue::default(),
-            canceled: HashSet::new(),
+            canceled: Vec::new(),
             next_event_id: 0,
             processed: 0,
             rng: DetRng::new(seed),
@@ -174,19 +176,34 @@ impl SimState {
     ///
     /// Ids that were never issued are ignored — otherwise they would lie in
     /// wait and silently cancel whatever future event is eventually assigned
-    /// the same id.
+    /// the same id. Marking an already-delivered id sets a bit nothing reads
+    /// again, so the marks never exceed one bit per emitted id.
     pub fn cancel_event(&mut self, id: EventId) {
         if id < self.next_event_id {
-            self.canceled.insert(id);
+            let (word, bit) = bit_of(id);
+            if word >= self.canceled.len() {
+                self.canceled.resize(word + 1, 0);
+            }
+            self.canceled[word] |= bit;
+        }
+    }
+
+    /// Clears `id`'s cancellation mark, returning whether it was set.
+    fn take_canceled(&mut self, id: EventId) -> bool {
+        let (word, bit) = bit_of(id);
+        match self.canceled.get_mut(word) {
+            Some(marks) if *marks & bit != 0 => {
+                *marks &= !bit;
+                true
+            }
+            _ => false,
         }
     }
 
     /// Pops the next live event and advances the clock to it.
     pub fn next_event(&mut self) -> Option<Event> {
         while let Some(event) = self.events.pop() {
-            // The empty-set check skips a per-event hash lookup on the (vastly
-            // dominant) runs that never cancel anything.
-            if !self.canceled.is_empty() && self.canceled.remove(&event.id) {
+            if self.take_canceled(event.id) {
                 continue;
             }
             debug_assert!(event.time >= self.clock, "event queue went backwards");
@@ -218,4 +235,10 @@ impl SimState {
     pub fn processed_count(&self) -> u64 {
         self.processed
     }
+}
+
+/// Word index and mask of `id` in the cancellation bitset.
+#[inline]
+fn bit_of(id: EventId) -> (usize, u64) {
+    ((id / 64) as usize, 1 << (id % 64))
 }

@@ -262,6 +262,26 @@ fn jct_experiment_per_method() {
     check(&pins);
 }
 
+/// A 20 000-request HACK run on IMDb at 2 rps (the `trace-300k` benchmark
+/// setting, scaled down): thousands of pre-seeded arrivals wait in the
+/// engine queue while in-flight events churn around them, and the 20 000
+/// records are assembled in finish-time order.
+#[test]
+fn jct_experiment_at_20k_requests() {
+    let experiment = JctExperiment {
+        dataset: Dataset::Imdb,
+        num_requests: 20_000,
+        rps: Some(2.0),
+        ..JctExperiment::paper_default()
+    };
+    let (result, log) = Simulator::new(experiment.simulation_config(Method::hack())).run_traced();
+    assert_eq!(result.records.len(), 20_000);
+    check(&[
+        ("log", digest(&log), 0xdbe7_3139_bc10_dcd3),
+        ("result", digest(&result), 0x72db_7226_0bee_580d),
+    ]);
+}
+
 #[test]
 fn tenant_mix_grid() {
     let mut mix = TenantMixExperiment::interactive_vs_batch();

@@ -670,6 +670,46 @@ fn conservation_holds_under_randomized_fault_plans_across_engines_and_cost_modes
     }
 }
 
+/// Records come out ordered by finish time, ties broken by request id (the
+/// generated traces number requests in trace order).
+fn assert_records_ordered(result: &SimulationResult, label: &str) {
+    for pair in result.records.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        assert!(
+            (a.finish_time, a.request.id) < (b.finish_time, b.request.id),
+            "{label}: record of request {} (finish {}) precedes request {} (finish {})",
+            a.request.id,
+            a.finish_time,
+            b.request.id,
+            b.finish_time
+        );
+    }
+}
+
+#[test]
+fn records_are_ordered_by_finish_time_then_request_id_under_fault_plans() {
+    use hack_cluster::{LinkGraphSpec, TopologySpec};
+    for case in 0..8 {
+        let mut rng = DetRng::new(18_500 + case);
+        let mut config = random_sim_config(&mut rng);
+        config.trace.num_requests = rng.range_usize(20, 120);
+        if rng.chance(0.6) {
+            config.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
+        }
+        config.faults = random_fault_plan(&mut rng, &config.cluster);
+        let result = Simulator::new(config).run();
+        assert_records_ordered(&result, &format!("case {case}"));
+    }
+    for case in 0..4 {
+        let mut rng = DetRng::new(18_600 + case);
+        let (mut config, requests) = random_multi_tenant(&mut rng);
+        config.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
+        config.faults = random_fault_plan(&mut rng, &config.cluster);
+        let result = Simulator::with_requests(config, requests).run();
+        assert_records_ordered(&result, &format!("multi-tenant case {case}"));
+    }
+}
+
 #[test]
 fn per_tenant_conservation_holds_under_randomized_fault_plans() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
