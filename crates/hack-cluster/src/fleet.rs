@@ -156,31 +156,6 @@ impl ReplicaGroup {
             self.cost_params.unwrap_or(default_params),
         )
     }
-
-    /// Decodes a group from its serialized [`Value`] tree. Snapshots from
-    /// before the cost model carry no price/provisioning keys; those fall
-    /// back to the GPU kind's defaults.
-    pub fn from_value(value: &Value) -> Option<ReplicaGroup> {
-        let gpu = GpuKind::from_name(value.get_key("gpu")?.as_str()?)?;
-        Some(ReplicaGroup {
-            gpu,
-            replicas: value.get_key("replicas")?.as_f64()? as usize,
-            parallel: Parallelism::from_value(value.get_key("parallel")?)?,
-            network_gbps: value.get_key("network_gbps")?.as_f64()?,
-            cost_params: match value.get_key("cost_params") {
-                None | Some(Value::Null) => None,
-                Some(params) => Some(CostParams::from_value(params)?),
-            },
-            dollars_per_gpu_hour: value
-                .get_key("dollars_per_gpu_hour")
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| Self::default_dollars_per_gpu_hour(gpu)),
-            provision_delay_s: value
-                .get_key("provision_delay_s")
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| Self::default_provision_delay_s(gpu)),
-        })
-    }
 }
 
 /// The replica groups of one fleet side, in group order. Fixed capacity
@@ -285,29 +260,6 @@ impl GroupSet {
         }
         out
     }
-
-    /// Decodes a side from its serialized [`Value`] tree (an array of
-    /// groups). Semantically invalid snapshots (no groups, too many, a
-    /// zero-replica group, a non-positive NIC bandwidth) return `None` like
-    /// any other malformed input — the decoder never panics.
-    pub fn from_value(value: &Value) -> Option<GroupSet> {
-        let Value::Array(items) = value else {
-            return None;
-        };
-        if items.is_empty() || items.len() > MAX_GROUPS {
-            return None;
-        }
-        let groups: Option<Vec<ReplicaGroup>> =
-            items.iter().map(ReplicaGroup::from_value).collect();
-        let groups = groups?;
-        if groups
-            .iter()
-            .any(|g| g.replicas == 0 || g.network_gbps <= 0.0 || g.network_gbps.is_nan())
-        {
-            return None;
-        }
-        Some(GroupSet::new(&groups))
-    }
 }
 
 // Serialize only the live prefix (the derive would emit all MAX_GROUPS slots).
@@ -339,14 +291,6 @@ impl FleetSpec {
             prefill: GroupSet::single(prefill),
             decode: GroupSet::single(decode),
         }
-    }
-
-    /// Decodes a fleet from its serialized [`Value`] tree.
-    pub fn from_value(value: &Value) -> Option<FleetSpec> {
-        Some(FleetSpec {
-            prefill: GroupSet::from_value(value.get_key("prefill")?)?,
-            decode: GroupSet::from_value(value.get_key("decode")?)?,
-        })
     }
 }
 
@@ -400,23 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn from_value_rejects_invalid_snapshots_without_panicking() {
-        // The decoder is fallible end to end: structurally valid JSON with
-        // semantically invalid content (zero replicas, non-positive NIC)
-        // yields None, never a panic.
-        for json in [
-            r#"[{"gpu":"A10G","replicas":0,"parallel":{"tp":4,"pp":2},"network_gbps":40.0,"cost_params":null}]"#,
-            r#"[{"gpu":"A10G","replicas":2,"parallel":{"tp":4,"pp":2},"network_gbps":0.0,"cost_params":null}]"#,
-            r#"[{"gpu":"A10G","replicas":-3,"parallel":{"tp":4,"pp":2},"network_gbps":40.0,"cost_params":null}]"#,
-            r#"[]"#,
-            r#"{"not":"an array"}"#,
-        ] {
-            let value = serde_json::from_str(json).expect("valid JSON");
-            assert!(GroupSet::from_value(&value).is_none(), "{json}");
-        }
-    }
-
-    #[test]
     fn group_set_flattens_group_major() {
         let set = GroupSet::new(&[a10g(2), a10g(3)]);
         assert_eq!(set.len(), 2);
@@ -431,6 +358,8 @@ mod tests {
 
     #[test]
     fn serde_round_trips_mixed_sets() {
+        // `GroupSet` serializes only its live groups, not all `MAX_GROUPS`
+        // slots, and a group's cost-parameter override survives the JSON text.
         let mut l4 = ReplicaGroup::new(ModelKind::Llama31_70B, GpuKind::L4);
         l4.replicas = 2;
         l4.cost_params = Some(CostParams {
@@ -445,12 +374,16 @@ mod tests {
                 2,
             )),
         };
-        let json = serde_json::to_string(&fleet).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        let back = FleetSpec::from_value(&value).expect("fleet decodes");
-        assert_eq!(back, fleet);
-        assert_eq!(back.prefill.get(1).cost_params.unwrap().decode_batch, 4.0);
-        assert!(back.decode.get(0).cost_params.is_none());
+        let value = serde_json::from_str(&serde_json::to_string(&fleet).unwrap()).unwrap();
+        assert_eq!(value, fleet.serialize_value());
+        for (side, set) in [("prefill", fleet.prefill), ("decode", fleet.decode)] {
+            let Value::Array(groups) = &value[side] else {
+                panic!("{side} serializes as an array");
+            };
+            assert_eq!(groups.len(), set.len(), "{side}");
+        }
+        assert_eq!(value["prefill"][1]["cost_params"]["decode_batch"], 4.0);
+        assert_eq!(value["decode"][0]["cost_params"], Value::Null);
     }
 
     #[test]

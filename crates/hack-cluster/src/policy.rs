@@ -1,4 +1,4 @@
-//! Pluggable dispatch, admission and scheduling policies of the [`Frontend`].
+//! Pluggable dispatch, admission and scheduling policies of the `Frontend`.
 //!
 //! The frontend makes three per-request decisions, each behind its own trait:
 //!
@@ -37,8 +37,6 @@
 //! Shipped scheduling policies: [`Fcfs`] (default), [`WeightedRoundRobin`],
 //! [`SloEdf`]. Shipped admission policies: [`AdmitAll`] (default) and
 //! [`TenantTokenBucket`].
-//!
-//! [`Frontend`]: crate::components::frontend::Frontend
 
 use hack_workload::trace::{Request, TenantId};
 use serde::{Serialize, Value};
@@ -161,7 +159,7 @@ pub struct ReplicaLoad {
     /// Prompt tokens pending on the replica. While the replica is `busy`
     /// this still *includes* the in-service request's prompt (it is released
     /// only when its prefill finishes), so policies should not add their own
-    /// in-service estimate on top of it — [`ReplicaLoad::backlog_tokens`]'s
+    /// in-service estimate on top of it — `ReplicaLoad::backlog_tokens`'s
     /// extra `busy` addend is the pre-fleet router's deliberate pessimism
     /// (the in-service request counted *again*, at the arriving request's
     /// length), kept for bit-compatibility.

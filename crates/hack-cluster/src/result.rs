@@ -7,7 +7,7 @@ use hack_metrics::jct::{average_ratios, JctBreakdown, JctStats, StageRatios};
 use hack_metrics::tenant::{self, TenantSlo};
 use hack_model::gpu::GpuKind;
 use hack_workload::trace::{Request, TenantId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Outcome of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,19 +49,6 @@ impl RequestRecord {
             return 1.0;
         }
         self.breakdown.total() / service
-    }
-
-    /// Decodes a record from its serialized [`Value`] tree. Pre-tenant
-    /// snapshots (no `tenant` key inside `request`) decode as tenant 0 — see
-    /// [`Request::from_value`].
-    pub fn from_value(value: &Value) -> Option<RequestRecord> {
-        Some(RequestRecord {
-            request: Request::from_value(value.get_key("request")?)?,
-            prefill_replica: value.get_key("prefill_replica")?.as_f64()? as usize,
-            decode_replica: value.get_key("decode_replica")?.as_f64()? as usize,
-            finish_time: value.get_key("finish_time")?.as_f64()?,
-            breakdown: JctBreakdown::from_value(value.get_key("breakdown")?)?,
-        })
     }
 }
 
@@ -433,6 +420,9 @@ mod tests {
     fn jct_and_average() {
         let result = result_of(vec![record(0.0, 10.0), record(5.0, 25.0)]);
         assert_eq!(result.records[0].jct(), 10.0);
+        // 0.5 s queued of a 9 s JCT: slowdown is JCT over queue-free service.
+        let queued = tenant_record(0, 0.5, 9.5, 0.5);
+        assert!((queued.slowdown() - 9.0 / 8.5).abs() < 1e-12);
         assert_eq!(result.average_jct(), 15.0);
         assert_eq!(result.jct_stats().count, 2);
         assert!(result.average_ratios().prefill > 0.0);
@@ -566,32 +556,12 @@ mod tests {
 
     #[test]
     fn record_serde_round_trips_exactly() {
+        // A record's JSON parses back to the tree it was written from.
         let original = tenant_record(3, 1.25, 41.5, 7.75);
         let json = serde_json::to_string(&original).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        let back = RequestRecord::from_value(&value).expect("decodes");
-        assert_eq!(back, original);
         assert_eq!(
-            back.breakdown.queueing.to_bits(),
-            original.breakdown.queueing.to_bits()
+            serde_json::from_str(&json).unwrap(),
+            original.serialize_value()
         );
-    }
-
-    #[test]
-    fn pre_tenant_record_snapshots_decode_as_tenant_zero() {
-        let json = r#"{
-            "request": {"id":1,"arrival":0.5,"input_len":64,"output_len":8},
-            "prefill_replica": 2,
-            "decode_replica": 1,
-            "finish_time": 9.5,
-            "breakdown": {"prefill":1.0,"quantization":0.0,"communication":0.5,
-                          "dequant_or_approx":0.0,"decode":7.0,"queueing":0.5}
-        }"#;
-        let value = serde_json::from_str(json).unwrap();
-        let record = RequestRecord::from_value(&value).expect("old snapshot decodes");
-        assert_eq!(record.tenant(), TenantId::default());
-        assert_eq!(record.prefill_replica, 2);
-        assert!((record.jct() - 9.0).abs() < 1e-12);
-        assert!((record.slowdown() - 9.0 / 8.5).abs() < 1e-12);
     }
 }

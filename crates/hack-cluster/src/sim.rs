@@ -2,9 +2,9 @@
 //!
 //! [`Simulator::run`] builds a [`hack_sim::Simulation`], registers the
 //! component fleet (frontend, prefill replicas, network fabric, decode
-//! replicas — see [`crate::components`]), seeds it with the request trace's
-//! arrival events (plus any fault-injection events), and drives the engine
-//! until every request completes.
+//! replicas — see the crate-private `components` module), seeds it with the
+//! request trace's arrival events (plus any fault-injection events), and
+//! drives the engine until every request completes.
 //!
 //! The fleet is a [`crate::fleet::FleetSpec`]: replicas are instantiated
 //! group-major (group 0's replicas first), each carrying its group's cost
@@ -1027,11 +1027,11 @@ fn fault_targets(domain: FaultDomain, cluster: &ClusterConfig) -> (Vec<usize>, V
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::config::{ClusterConfig, FailureSpec};
+    use crate::config::ClusterConfig;
     use crate::fleet::{GroupSet, ReplicaGroup};
     use crate::policy::{DispatchPolicyKind, PolicyConfig};
     use crate::telemetry::TelemetryConfig;
-    use crate::topology::FaultPlan;
+    use crate::topology::{FaultDomain, FaultEvent, FaultPlan};
     use hack_model::gpu::GpuKind;
     use hack_model::spec::ModelKind;
     use hack_workload::dataset::Dataset;
@@ -1455,17 +1455,17 @@ mod tests {
     // --- Fault injection: scenarios the monolithic simulator could not express. ---
 
     /// A failure window covering the middle of the run on the default config.
-    fn failure_config(n: usize, failure: FailureSpec) -> SimulationConfig {
+    fn failure_config(n: usize, failure: FaultEvent) -> SimulationConfig {
         SimulationConfig {
-            faults: failure.into(),
+            faults: FaultPlan::new(&[failure]),
             ..sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.08, n)
         }
     }
 
-    /// A failure spec guaranteed to abort at least one in-flight decode: from a
+    /// A decode-replica failure guaranteed to abort at least one in-flight decode: from a
     /// healthy run, pick a completed request and fail its decode replica just
     /// before it finishes (decoding is the last stage, so it is in flight then).
-    fn mid_decode_failure(n: usize) -> FailureSpec {
+    fn mid_decode_failure(n: usize) -> FaultEvent {
         let healthy = Simulator::new(sim_config(
             KvMethodProfile::baseline(),
             Dataset::Cocktail,
@@ -1478,8 +1478,8 @@ mod tests {
             .iter()
             .find(|r| r.breakdown.decode > 1.0)
             .expect("some request decodes for more than a second");
-        FailureSpec::transient(
-            victim.decode_replica,
+        FaultEvent::transient(
+            FaultDomain::DecodeReplica(victim.decode_replica),
             victim.finish_time - 0.5,
             healthy.makespan + 100.0,
         )
@@ -1494,6 +1494,8 @@ mod tests {
             "all requests must complete despite the failure"
         );
         assert_eq!(result.injected_failures, 1);
+        assert_eq!(result.faults.len(), 1);
+        assert_eq!(result.faults[0].replicas_affected, 1);
         assert!(
             result.requeued_requests > 0,
             "a mid-run failure must abort and re-queue in-flight requests"
@@ -1523,7 +1525,8 @@ mod tests {
 
     #[test]
     fn permanent_failure_leaves_survivors_serving() {
-        let result = Simulator::new(failure_config(40, FailureSpec::permanent(0, 100.0))).run();
+        let failure = FaultEvent::permanent(FaultDomain::DecodeReplica(0), 100.0);
+        let result = Simulator::new(failure_config(40, failure)).run();
         // The paper-default fleet has 4 decode replicas; the other three finish the work.
         assert_eq!(result.records.len(), 40);
         assert!(result
@@ -1545,7 +1548,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "failure targets decode replica")]
     fn failure_on_nonexistent_replica_is_rejected() {
-        let _ = Simulator::new(failure_config(10, FailureSpec::permanent(99, 1.0))).run();
+        let failure = FaultEvent::permanent(FaultDomain::DecodeReplica(99), 1.0);
+        let _ = Simulator::new(failure_config(10, failure)).run();
     }
 
     #[test]
@@ -1763,19 +1767,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_failure_spec_still_pins_the_single_replica_fault_path() {
-        // `FailureSpec -> FaultPlan` must reproduce the legacy event sequence
-        // exactly (it seeds one ReplicaFailed + one ReplicaRecovered).
-        let spec = FailureSpec::transient(1, 50.0, 400.0);
-        let via_plan = Simulator::new(failure_config(30, spec)).run();
-        assert_eq!(via_plan.injected_failures, 1);
-        assert_eq!(via_plan.faults.len(), 1);
-        assert_eq!(via_plan.faults[0].replicas_affected, 1);
-    }
-
-    #[test]
     fn invalid_fault_configs_yield_typed_errors() {
-        use crate::topology::{ConfigError, FaultDomain, FaultEvent, FaultPlan};
+        use crate::topology::ConfigError;
         let base = sim_config(KvMethodProfile::baseline(), Dataset::Imdb, 0.3, 5);
 
         // Recovery at or before the fault instant.

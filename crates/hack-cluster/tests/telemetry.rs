@@ -15,8 +15,8 @@
 //!    cost tables behind them change nothing a trace reader can see.
 
 use hack_cluster::{
-    CacheConfig, ClusterConfig, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
-    TelemetryConfig,
+    CacheConfig, ClusterConfig, FaultDomain, FaultEvent, FaultPlan, PolicyConfig, SimulationConfig,
+    Simulator, TelemetryConfig,
 };
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::KvMethodProfile;
@@ -51,7 +51,11 @@ fn with_telemetry(mut config: SimulationConfig, interval: f64) -> SimulationConf
 
 fn failure_config(n: usize) -> SimulationConfig {
     SimulationConfig {
-        faults: FailureSpec::transient(0, 40.0, 400.0).into(),
+        faults: FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(0),
+            40.0,
+            400.0,
+        )]),
         ..base_config(n, 0.08)
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, ClusterConfig, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
+    CacheConfig, ClusterConfig, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
     TelemetryConfig,
 };
 use hack_metrics::jct::{JctStats, StageRatios};
@@ -38,9 +38,6 @@ pub struct JctExperiment {
     pub prefill_replicas: Option<usize>,
     /// Override for the number of decode replicas.
     pub decode_replicas: Option<usize>,
-    /// Optional fault injection: a decode replica fails (and possibly recovers)
-    /// mid-run.
-    pub failure: Option<FailureSpec>,
     /// Trace seed.
     pub seed: u64,
 }
@@ -62,7 +59,6 @@ impl JctExperiment {
             pipelining: false,
             prefill_replicas: None,
             decode_replicas: None,
-            failure: None,
             seed: 42,
         }
     }
@@ -234,7 +230,7 @@ impl JctExperiment {
             trace: self.trace_config(),
             profile: method.profile(),
             policy: PolicyConfig::default(),
-            faults: self.failure.map(FaultPlan::from).unwrap_or_default(),
+            faults: FaultPlan::none(),
             telemetry: TelemetryConfig::Off,
             cache: CacheConfig::Off,
         }

@@ -67,11 +67,11 @@ pub mod prelude {
     pub use hack_attention::state::HackKvState;
     pub use hack_cluster::{
         AdmissionPolicyKind, AvailabilityModel, CacheConfig, CacheSettings, ClusterConfig,
-        ConfigError, DispatchPolicyKind, FailureSpec, FaultDomain, FaultEvent, FaultPlan,
-        FaultRecord, FleetShape, FleetSpec, GroupSet, GroupStats, LinkGraphSpec, MtbfSpec,
-        PolicyConfig, ReplicaGroup, RetryPolicy, ScalingPolicyKind, SchedulingPolicyKind,
-        SimulationConfig, Simulator, TelemetryConfig, TelemetrySettings, TenantClass,
-        TenantClasses, TopologySpec, SCALE_TICK_SECS,
+        ConfigError, DispatchPolicyKind, FaultDomain, FaultEvent, FaultPlan, FaultRecord,
+        FleetShape, FleetSpec, GroupSet, GroupStats, LinkGraphSpec, MtbfSpec, PolicyConfig,
+        ReplicaGroup, RetryPolicy, ScalingPolicyKind, SchedulingPolicyKind, SimulationConfig,
+        Simulator, TelemetryConfig, TelemetrySettings, TenantClass, TenantClasses, TopologySpec,
+        SCALE_TICK_SECS,
     };
     pub use hack_metrics::telemetry::Telemetry;
     pub use hack_model::gpu::GpuKind;

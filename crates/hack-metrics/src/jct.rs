@@ -23,20 +23,6 @@ pub struct JctBreakdown {
 }
 
 impl JctBreakdown {
-    /// Decodes a breakdown from its serialized [`serde::Value`] tree (used by
-    /// the result-snapshot round-trip path).
-    pub fn from_value(value: &serde::Value) -> Option<JctBreakdown> {
-        let f = |key: &str| value.get_key(key).and_then(serde::Value::as_f64);
-        Some(JctBreakdown {
-            prefill: f("prefill")?,
-            quantization: f("quantization")?,
-            communication: f("communication")?,
-            dequant_or_approx: f("dequant_or_approx")?,
-            decode: f("decode")?,
-            queueing: f("queueing")?,
-        })
-    }
-
     /// Total JCT.
     pub fn total(&self) -> f64 {
         self.prefill

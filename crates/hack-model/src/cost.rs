@@ -11,7 +11,7 @@
 use crate::gpu::GpuSpec;
 use crate::parallelism::Parallelism;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// How an evaluated method treats KV data. Every method in the paper maps to one of
 /// these profiles (the mapping lives in `hack-core`).
@@ -196,25 +196,6 @@ pub struct CostParams {
     /// Average number of sequences decoded together (continuous batching); weight
     /// streaming is shared by the batch, per-sequence KV work is not.
     pub decode_batch: f64,
-}
-
-impl CostParams {
-    /// Decodes the efficiency constants from their serialized [`Value`] tree
-    /// (config snapshots; every field must be present and numeric).
-    pub fn from_value(value: &Value) -> Option<CostParams> {
-        Some(CostParams {
-            compute_efficiency: value.get_key("compute_efficiency")?.as_f64()?,
-            attention_efficiency: value.get_key("attention_efficiency")?.as_f64()?,
-            elementwise_efficiency: value.get_key("elementwise_efficiency")?.as_f64()?,
-            memory_efficiency: value.get_key("memory_efficiency")?.as_f64()?,
-            kv_access_efficiency: value.get_key("kv_access_efficiency")?.as_f64()?,
-            dequant_efficiency: value.get_key("dequant_efficiency")?.as_f64()?,
-            decode_iter_overhead_s: value.get_key("decode_iter_overhead_s")?.as_f64()?,
-            network_efficiency: value.get_key("network_efficiency")?.as_f64()?,
-            pp_bubble: value.get_key("pp_bubble")?.as_f64()?,
-            decode_batch: value.get_key("decode_batch")?.as_f64()?,
-        })
-    }
 }
 
 impl Default for CostParams {

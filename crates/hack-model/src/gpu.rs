@@ -29,14 +29,6 @@ impl GpuKind {
         ]
     }
 
-    /// Parses the serialized variant name back into the kind (the stub serde
-    /// derive writes unit variants as bare strings; config decoders use this).
-    pub fn from_name(name: &str) -> Option<GpuKind> {
-        GpuKind::all()
-            .into_iter()
-            .find(|kind| format!("{kind:?}") == name)
-    }
-
     /// Hardware specification of one GPU of this kind.
     pub fn spec(&self) -> GpuSpec {
         match self {

@@ -27,9 +27,9 @@
 //!   per-`kv_len` decode/dequant tables with prefix sums
 //!   ([`cost_table::DecodeCostTable`], process-wide cached) and per-prompt-length
 //!   prefill/quantization/transfer memos ([`cost_table::PrefillCostTable`]).
-//! * [`reference`] — a small, runnable decoder-only transformer (RMSNorm, RoPE, GQA,
-//!   SwiGLU MLP) whose attention backend is pluggable, used to measure end-to-end
-//!   output fidelity of HACK and the baselines (Table 6/7 proxies).
+//! * [`reference`](mod@reference) — a small, runnable decoder-only transformer
+//!   (RMSNorm, RoPE, GQA, SwiGLU MLP) whose attention backend is pluggable, used to
+//!   measure end-to-end output fidelity of HACK and the baselines (Table 6/7 proxies).
 
 pub mod cost;
 pub mod cost_table;

@@ -2,7 +2,7 @@
 
 use crate::gpu::GpuKind;
 use crate::spec::ModelKind;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Tensor-parallel (TP) and pipeline-parallel (PP) degrees of one model replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,14 +23,6 @@ impl Parallelism {
     /// Total GPUs used by one model replica.
     pub fn gpus_per_replica(&self) -> usize {
         self.tp * self.pp
-    }
-
-    /// Decodes a parallelism configuration from its serialized [`Value`] tree
-    /// (`{"tp": …, "pp": …}` — the stub serde's data model).
-    pub fn from_value(value: &Value) -> Option<Parallelism> {
-        let tp = value.get_key("tp")?.as_f64()? as usize;
-        let pp = value.get_key("pp")?.as_f64()? as usize;
-        (tp >= 1 && pp >= 1).then(|| Parallelism::new(tp, pp))
     }
 
     /// Table 3: the TP/PP degrees used for a given model on a given GPU family.

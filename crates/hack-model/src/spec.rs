@@ -29,14 +29,6 @@ impl ModelKind {
         ]
     }
 
-    /// Parses the serialized variant name back into the kind (the stub serde
-    /// derive writes unit variants as bare strings; config decoders use this).
-    pub fn from_name(name: &str) -> Option<ModelKind> {
-        ModelKind::all()
-            .into_iter()
-            .find(|kind| format!("{kind:?}") == name)
-    }
-
     /// The single-letter label used in the paper's figures.
     pub fn letter(&self) -> &'static str {
         match self {

@@ -72,45 +72,6 @@ impl Request {
     pub fn total_tokens(&self) -> usize {
         self.input_len + self.output_len
     }
-
-    /// Decodes a request from its serialized [`Value`] tree (the stub serde's
-    /// data model; `serde_json::from_str` produces these).
-    ///
-    /// Trace snapshots written before multi-tenancy carry no `tenant` key and
-    /// pre-session snapshots carry no `session`/`parent`/`shared_prefix_tokens`
-    /// keys; those decode with the defaults (tenant 0, independent request), so
-    /// old snapshots stay readable. A *present* but malformed optional key is
-    /// corruption, not an old snapshot, and is rejected like any other
-    /// malformed field (`parent` may be `null` — that is how `None`
-    /// serializes — but not, say, a string).
-    pub fn from_value(value: &Value) -> Option<Request> {
-        let tenant = match value.get_key("tenant") {
-            None => TenantId::default(),
-            Some(t) => TenantId(t.as_f64()? as u32),
-        };
-        let session = match value.get_key("session") {
-            None => 0,
-            Some(s) => s.as_f64()? as u64,
-        };
-        let parent = match value.get_key("parent") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(p.as_f64()? as u64),
-        };
-        let shared_prefix_tokens = match value.get_key("shared_prefix_tokens") {
-            None => 0,
-            Some(s) => s.as_f64()? as usize,
-        };
-        Some(Request {
-            id: value.get_key("id")?.as_f64()? as u64,
-            tenant,
-            arrival: value.get_key("arrival")?.as_f64()?,
-            input_len: value.get_key("input_len")?.as_f64()? as usize,
-            output_len: value.get_key("output_len")?.as_f64()? as usize,
-            session,
-            parent,
-            shared_prefix_tokens,
-        })
-    }
 }
 
 /// Trace-generation parameters.
@@ -390,9 +351,9 @@ mod tests {
 
     #[test]
     fn request_serde_round_trips_exactly() {
-        // f64 serialization uses the shortest round-trippable representation,
-        // so a JSON round trip must reproduce the request bit-for-bit —
-        // including the tenant tag and the session fields.
+        // A request's JSON (tenant tag and session fields included) parses
+        // back to the tree it was written from; bit-exact float text is the
+        // `serde_json` stub's own test.
         let mut trace = TraceTemplate::new(TraceConfig::cocktail_default())
             .instantiate_tagged(0.37, TenantId(3));
         for (i, r) in trace.iter_mut().enumerate() {
@@ -404,81 +365,7 @@ mod tests {
         }
         for r in trace {
             let json = serde_json::to_string(&r).unwrap();
-            let value = serde_json::from_str(&json).unwrap();
-            let back = Request::from_value(&value).expect("decodes");
-            assert_eq!(back, r);
-            assert_eq!(back.arrival.to_bits(), r.arrival.to_bits());
+            assert_eq!(serde_json::from_str(&json).unwrap(), r.serialize_value());
         }
-    }
-
-    #[test]
-    fn pre_tenant_snapshots_decode_as_tenant_zero() {
-        // Trace snapshots written before multi-tenancy have no `tenant` key;
-        // they must keep decoding (forward compatibility).
-        let json = r#"{"id":5,"arrival":12.25,"input_len":100,"output_len":7}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("old snapshot decodes");
-        assert_eq!(
-            r,
-            Request {
-                id: 5,
-                tenant: TenantId::default(),
-                arrival: 12.25,
-                input_len: 100,
-                output_len: 7,
-                session: 0,
-                parent: None,
-                shared_prefix_tokens: 0,
-            }
-        );
-        // A malformed snapshot is rejected, not silently defaulted: a missing
-        // required key, or a `tenant` key that is present but non-numeric.
-        let bad = serde_json::from_str(r#"{"id":5,"arrival":1.0}"#).unwrap();
-        assert!(Request::from_value(&bad).is_none());
-        let corrupt = serde_json::from_str(
-            r#"{"id":5,"tenant":"1","arrival":1.0,"input_len":10,"output_len":2}"#,
-        )
-        .unwrap();
-        assert!(
-            Request::from_value(&corrupt).is_none(),
-            "non-numeric tenant must be rejected, not defaulted"
-        );
-    }
-
-    #[test]
-    fn pre_session_snapshots_decode_as_independent_requests() {
-        // Pre-session snapshots (no session/parent/shared_prefix_tokens keys)
-        // decode as independent requests; `parent: null` is how `None`
-        // serializes and must also decode as `None`.
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("pre-session snapshot decodes");
-        assert_eq!(r.session, 0);
-        assert_eq!(r.parent, None);
-        assert_eq!(r.shared_prefix_tokens, 0);
-
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                       "session":4,"parent":null,"shared_prefix_tokens":0}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("null parent decodes");
-        assert_eq!(r.session, 4);
-        assert_eq!(r.parent, None);
-
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                       "session":4,"parent":1,"shared_prefix_tokens":32}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("numeric parent decodes");
-        assert_eq!(r.parent, Some(1));
-        assert_eq!(r.shared_prefix_tokens, 32);
-
-        // Present-but-malformed session fields are corruption, not back-compat.
-        let corrupt = serde_json::from_str(
-            r#"{"id":2,"arrival":3.5,"input_len":64,"output_len":8,"parent":"x"}"#,
-        )
-        .unwrap();
-        assert!(
-            Request::from_value(&corrupt).is_none(),
-            "non-numeric parent must be rejected, not defaulted"
-        );
     }
 }

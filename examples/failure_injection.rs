@@ -90,7 +90,11 @@ fn main() {
     );
 
     let failed = Simulator::new(SimulationConfig {
-        faults: FailureSpec::transient(victim, fail_at, recover_at).into(),
+        faults: FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(victim),
+            fail_at,
+            recover_at,
+        )]),
         ..base_config
     })
     .run();

@@ -14,8 +14,8 @@
 //! value printed by the failure and say why in the change description.
 
 use hack_cluster::{
-    AvailabilityModel, CacheConfig, ClusterConfig, FailureSpec, FaultPlan, GroupSet, LinkGraphSpec,
-    MtbfSpec, PolicyConfig, ReplicaGroup, ScalingPolicyKind, SchedulingPolicyKind,
+    AvailabilityModel, CacheConfig, ClusterConfig, FaultDomain, FaultEvent, FaultPlan, GroupSet,
+    LinkGraphSpec, MtbfSpec, PolicyConfig, ReplicaGroup, ScalingPolicyKind, SchedulingPolicyKind,
     SimulationConfig, Simulator, TelemetryConfig, TenantClass, TenantClasses, TopologySpec,
 };
 use hack_core::prelude::*;
@@ -98,7 +98,11 @@ fn cocktail_runs_at_40_requests() {
 #[test]
 fn transient_decode_failure_run() {
     let config = SimulationConfig {
-        faults: FailureSpec::transient(0, 50.0, 400.0).into(),
+        faults: FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(0),
+            50.0,
+            400.0,
+        )]),
         ..cocktail(KvMethodProfile::baseline(), 30)
     };
     let (log, result) = traced(config);

@@ -232,7 +232,10 @@ fn aborted_decode_time_is_charged_to_the_failing_group() {
         .find(|r| r.decode_replica < 2 && r.breakdown.decode > 1.0)
         .expect("some request decodes on group 0 for more than a second");
     let mut config = base;
-    config.faults = FailureSpec::permanent(victim.decode_replica, victim.finish_time - 0.5).into();
+    config.faults = FaultPlan::new(&[FaultEvent::permanent(
+        FaultDomain::DecodeReplica(victim.decode_replica),
+        victim.finish_time - 0.5,
+    )]);
     let result = Simulator::new(config).run();
     assert_eq!(result.records.len(), e.num_requests);
     assert!(result.requeued_requests > 0, "the failure must abort work");

@@ -9,7 +9,6 @@
 //! exhaustive in spirit while staying fully deterministic and dependency-free.
 
 use hack_baselines::entropy;
-use hack_cluster::FailureSpec;
 use hack_core::prelude::*;
 use hack_metrics::edit::edit_similarity;
 use hack_metrics::rouge::rouge1_f1;
@@ -376,12 +375,11 @@ fn random_sim_config(rng: &mut DetRng) -> SimulationConfig {
         },
         policy: PolicyConfig::default(),
         faults: if rng.chance(0.3) {
-            FailureSpec::transient(
-                rng.range_usize(0, cluster.decode_replicas()),
+            FaultPlan::new(&[FaultEvent::transient(
+                FaultDomain::DecodeReplica(rng.range_usize(0, cluster.decode_replicas())),
                 rng.range_f64(1.0, 300.0),
                 1e6,
-            )
-            .into()
+            )])
         } else {
             FaultPlan::none()
         },
