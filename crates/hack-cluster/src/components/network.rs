@@ -306,9 +306,6 @@ impl NetworkFabric {
         let g = graph.as_mut().expect("start_flow requires the link graph");
         let spine = g.ecmp_spine(req).expect("path_alive checked a live spine");
         g.advance(now);
-        // The completion event is re-emitted with the true fair-share rate by
-        // the resplit below; the placeholder is never delivered.
-        let event = ctx.emit_at(FlowCompleted { req }, dst_ctx, now + 1e30);
         g.flows.insert(
             req,
             Flow {
@@ -318,7 +315,9 @@ impl NetworkFabric {
                 dst_ctx,
                 remaining: volume,
                 rate: 0.0,
-                event,
+                // No completion yet: the resplit below emits it at the
+                // fair-share rate (canceling a never-issued id is a no-op).
+                event: EventId::MAX,
                 started: now,
             },
         );

@@ -38,7 +38,7 @@ use hack_metrics::jct::JctBreakdown;
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
 use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
-use hack_sim::{EngineMode, EventRecord, Simulation};
+use hack_sim::{ComponentId, EngineMode, EventRecord, Simulation};
 use hack_workload::trace::{Request, TraceGenerator};
 use std::cell::{OnceCell, RefCell};
 use std::collections::VecDeque;
@@ -296,13 +296,18 @@ impl Simulator {
             .collect();
         // The sampler and controller contexts are created *after* every
         // regular component (sampler first), so runs without them assign
-        // exactly the component ids they always did.
+        // exactly the component ids they always did, and the run loop tells
+        // control steps by id alone.
         let telemetry_settings = self.config.telemetry.settings();
         let sampler_ctx = telemetry_settings
             .as_ref()
             .map(|_| sim.create_context("telemetry-sampler"));
         let scaling_on = self.config.policy.scaling != ScalingPolicyKind::Off;
         let scaler_ctx = scaling_on.then(|| sim.create_context("scaling-controller"));
+        let first_control = sampler_ctx
+            .as_ref()
+            .or(scaler_ctx.as_ref())
+            .map_or(ComponentId::MAX, |c| c.id());
 
         let frontend_id = frontend_ctx.id();
         let prefill_ids: Vec<_> = prefill_ctxs.iter().map(|c| c.id()).collect();
@@ -522,12 +527,6 @@ impl Simulator {
             session_children,
         };
         let cluster = Rc::new(RefCell::new(state));
-        if telemetry_settings.is_some() || scaling_on {
-            // The blackboard doubles as the engine probe: auxiliary components
-            // (the sampler and the scaling controller) observe the simulation
-            // through `SimulationContext::probe` instead of being wired in.
-            sim.install_probe(cluster.clone());
-        }
 
         sim.add_handler(
             "frontend",
@@ -553,7 +552,6 @@ impl Simulator {
                 })),
             );
         }
-        let sampler_ticks = Rc::new(std::cell::Cell::new(0u64));
         if let (Some(ctx), Some(settings)) = (sampler_ctx, telemetry_settings) {
             // Seed the first tick at t=0 so every series starts at the origin;
             // the sampler re-arms itself each tick.
@@ -562,12 +560,11 @@ impl Simulator {
                 "telemetry-sampler",
                 Rc::new(RefCell::new(TelemetrySampler {
                     ctx,
+                    cluster: cluster.clone(),
                     interval: settings.sample_interval_secs.max(f64::MIN_POSITIVE),
-                    ticks: sampler_ticks.clone(),
                 })),
             );
         }
-        let scale_ticks = Rc::new(std::cell::Cell::new(0u64));
         if let Some(ctx) = scaler_ctx {
             // The first control decision fires at t=0 (observing the fleet's
             // configured full capacity); the controller re-arms itself.
@@ -576,67 +573,45 @@ impl Simulator {
                 "scaling-controller",
                 Rc::new(RefCell::new(ScalingController {
                     ctx,
+                    cluster: cluster.clone(),
                     policy: policy
                         .scaling
                         .instantiate()
                         .expect("scaling_on checked above"),
                     ordered: vec![false; decode_replicas],
                     arrivals_seen: 0,
-                    ticks: scale_ticks.clone(),
                 })),
             );
         }
 
-        // --- Drive the engine until every request is resolved — completed or
-        // rejected by admission — (or the queue runs dry, e.g. under a
-        // permanent failure of the whole decode fleet). ---
+        // --- Drive the engine until every request has ended: completed,
+        // rejected by admission, or abandoned after exhausting its transfer
+        // retries. A run with requests that can never end (stranded behind a
+        // permanently dead decode fleet) stops once nothing request-visible
+        // is left to deliver. ---
+        //
+        // The telemetry sampler and the scaling controller are control
+        // components, registered after every request-path component, so a
+        // step is a control step exactly when its destination id is at least
+        // `first_control`. Each keeps one tick pending at all times, so the
+        // queue never runs dry while either is on; instead, a control step
+        // that leaves only the tickers' own ticks queued ends the run. Control
+        // steps never advance the makespan, a maximum over request-visible
+        // events, so a telemetry-on run reports what the telemetry-off run of
+        // the same seed reports.
         let mut makespan = 0.0f64;
-        // Perpetual tickers: auxiliary components that always keep one
-        // self-addressed event pending (the telemetry sampler's SampleTick,
-        // the scaling controller's ScaleTick).
         let tickers = usize::from(telemetry_settings.is_some()) + usize::from(scaling_on);
-        if tickers == 0 {
-            // The exact pre-telemetry loop: nothing on this path even looks at
-            // the ticker machinery.
-            while {
-                let cs = cluster.borrow();
-                cs.completed.len() + cs.rejected < num_requests
-            } {
-                if !sim.step() {
-                    break;
-                }
+        while {
+            let cs = cluster.borrow();
+            cs.completed.len() + cs.rejected + cs.gave_up < num_requests
+        } {
+            let Some(dst) = sim.step() else {
+                break;
+            };
+            if dst < first_control {
                 makespan = makespan.max(sim.time());
-            }
-        } else {
-            // Each ticker keeps exactly one tick pending at all times, so the
-            // queue never runs dry on its own: when a delivered control event
-            // leaves nothing but the tickers' own re-arms behind
-            // (`queue_len() <= tickers`) the simulation proper is over — the
-            // ticker-free loop would have seen `step()` return false. That
-            // check only needs to run on control-delivering steps (between
-            // control events the queue always holds the pending ticks plus at
-            // least one live event), which keeps the per-step cost of this
-            // loop at a few counter loads over the ticker-free loop. Steps
-            // that deliver control-plane traffic (sampler ticks, scale ticks,
-            // provisioning landings) are excluded from the makespan so it
-            // stays a maximum over request-visible events only — bit-identical
-            // to the ticker-free run when nothing scales, even when the run
-            // ends with the queue dry (e.g. a permanent whole-fleet failure):
-            // events are delivered in time order, so the surviving maximum is
-            // over exactly the same event set.
-            while {
-                let cs = cluster.borrow();
-                cs.completed.len() + cs.rejected < num_requests
-            } {
-                let ticks_before = sampler_ticks.get() + scale_ticks.get();
-                if !sim.step() {
-                    break;
-                }
-                if sampler_ticks.get() + scale_ticks.get() == ticks_before {
-                    makespan = makespan.max(sim.time());
-                } else if sim.queue_len() <= tickers {
-                    break;
-                }
+            } else if sim.queue_len() <= tickers {
+                break;
             }
         }
 
@@ -963,8 +938,8 @@ impl Simulator {
         drop(cs);
         let events = sim.processed_count();
         let log = sim.take_log();
-        // Dropping the engine drops every handler and the probe, the only
-        // other owners of the cluster state.
+        // Dropping the engine drops every handler, the only other owners of
+        // the cluster state.
         drop(sim);
         let cluster = Rc::try_unwrap(cluster)
             .unwrap_or_else(|_| panic!("the cluster state outlived its simulation"))
@@ -1763,6 +1738,95 @@ mod tests {
         assert_eq!(
             result.records.len() + result.rejected_requests + result.aborted_requests,
             40
+        );
+    }
+
+    // --- Every run ends: regression tests for runs that once never did. A
+    // --- run that never ends spins forever, so these run on a worker thread
+    // --- and fail after a wall-clock minute instead of hanging the suite.
+
+    /// Runs `config` and returns its result and delivered-event count. A run
+    /// that has not ended after a minute is left spinning on its thread.
+    fn run_to_end(config: SimulationConfig) -> (SimulationResult, u64) {
+        let (ended, wait) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let run = Simulator::new(config).run_counted(EngineMode::Slab);
+            let _ = ended.send(());
+            run
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            wait.recv_timeout(std::time::Duration::from_secs(60))
+        {
+            panic!("the run did not end within a minute");
+        }
+        run.join().expect("the run panicked")
+    }
+
+    #[test]
+    fn telemetry_run_ends_when_the_whole_decode_fleet_dies_for_good() {
+        // Every decode replica fails permanently mid-run: the requests that
+        // have not finished can never end. With telemetry off the queue runs
+        // dry; with it on, the sampler's tick must not keep the run alive.
+        let mut off = link_graph_config(40, 0.6);
+        off.faults = FaultPlan::new(
+            &(0..4)
+                .map(|d| FaultEvent::permanent(FaultDomain::DecodeReplica(d), 30.0))
+                .collect::<Vec<_>>(),
+        );
+        let on = SimulationConfig {
+            telemetry: TelemetryConfig::on(),
+            ..off
+        };
+        let (off_result, off_events) = run_to_end(off);
+        let (on_result, on_events) = run_to_end(on);
+        assert_eq!(on_result, off_result, "telemetry must not change the run");
+        assert!(on_result.aborted_requests > 0, "some requests are stranded");
+        assert_eq!(
+            on_result.records.len() + on_result.rejected_requests + on_result.aborted_requests,
+            40
+        );
+        // The sampler adds one tick per 10 s of makespan (and one to end on).
+        assert!(off_events < 200, "{off_events} events");
+        assert!(on_events < off_events + 20, "{on_events} events");
+    }
+
+    #[test]
+    fn run_with_every_spine_down_ends_at_its_last_abandonment() {
+        // Two overlapping spine outages cut every transfer path for long
+        // enough that requests exhaust their retries and give up. Abandoned
+        // requests have ended, so the run must end with them, tickers on.
+        let mut config = link_graph_config(40, 0.6);
+        config.cluster.topology =
+            crate::topology::TopologySpec::LinkGraph(crate::topology::LinkGraphSpec::redundant(2));
+        config.faults = FaultPlan::new(&[
+            FaultEvent::transient(FaultDomain::Spine(0), 20.0, 2_000.0),
+            FaultEvent::transient(FaultDomain::Spine(1), 25.0, 2_000.0),
+        ]);
+        config.telemetry = TelemetryConfig::on();
+        config.policy.scaling = ScalingPolicyKind::Threshold {
+            high: 2.0,
+            low: 0.5,
+        };
+        let (result, events) = run_to_end(config);
+        assert!(
+            result.abandoned_requests > 0,
+            "the outage must outlast the retries"
+        );
+        assert_eq!(
+            result.records.len() + result.rejected_requests + result.aborted_requests,
+            40
+        );
+        // It ends with its last request, not with the fault plan's recovery.
+        assert!(result.makespan < 2_000.0, "makespan {}", result.makespan);
+        assert!(events < 500, "{events} events");
+        let off = SimulationConfig {
+            telemetry: TelemetryConfig::Off,
+            ..config
+        };
+        assert_eq!(
+            run_to_end(off).0,
+            result,
+            "telemetry must not change the run"
         );
     }
 

@@ -24,6 +24,7 @@ use crate::events::SampleTick;
 use hack_metrics::telemetry::{SeriesId, Telemetry, TrackId, NO_REQUEST};
 use hack_sim::{Event, EventHandler, SimulationContext};
 use serde::Serialize;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Telemetry switch on [`crate::SimulationConfig`].
@@ -703,21 +704,21 @@ impl ClusterState {
     }
 }
 
-/// The periodic time-series sampler: a dedicated engine component that ticks
-/// every `interval` simulated seconds, samples the cluster blackboard
-/// (read-only), and re-arms itself.
+/// The periodic time-series sampler: an ordinary engine component that
+/// holds the cluster blackboard like the other components, ticks every
+/// `interval` simulated seconds, samples the blackboard (read-only), and
+/// re-arms itself.
 ///
 /// Determinism: the sampler draws no randomness, mutates nothing the cluster
 /// components read, and emits only to itself, so interleaving its ticks with
 /// cluster events — whatever the tie order — cannot change the simulation's
-/// outcome. The run loop (not the sampler) decides when to stop stepping; the
-/// sampler always keeps exactly one pending tick in the queue.
+/// outcome. It always keeps one tick pending; the run loop tells its steps
+/// from request steps by component id and ends the run once a tick leaves
+/// only the control components' own events queued.
 pub(crate) struct TelemetrySampler {
     pub ctx: SimulationContext,
+    pub cluster: Rc<RefCell<ClusterState>>,
     pub interval: f64,
-    /// Ticks delivered so far, shared with the run loop: a step that only
-    /// delivered a sampler tick must not advance the reported makespan.
-    pub ticks: Rc<std::cell::Cell<u64>>,
 }
 
 impl EventHandler for TelemetrySampler {
@@ -725,13 +726,7 @@ impl EventHandler for TelemetrySampler {
         if !event.is::<SampleTick>() {
             return;
         }
-        self.ticks.set(self.ticks.get() + 1);
-        // The sampler holds no reference to the cluster: it reaches the
-        // blackboard through the engine-probe path ([`ClusterState`] is
-        // installed as the probe on telemetry-on runs), which is how auxiliary
-        // components observe a simulation without being wired into it.
-        self.ctx
-            .probe::<ClusterState, _>(|now, cs| cs.sample_telemetry(now));
+        self.cluster.borrow_mut().sample_telemetry(event.time);
         self.ctx.emit_self(SampleTick, self.interval);
     }
 }

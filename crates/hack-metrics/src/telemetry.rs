@@ -3,8 +3,8 @@
 //!
 //! This module is the *data* layer of the simulator's observability stack. It
 //! knows nothing about the engine or the cluster components: producers (the
-//! `hack-cluster` components, or any `hack-sim` component via
-//! `SimulationContext::probe`) push [`Span`]s, [`InstantEvent`]s and
+//! `hack-cluster` components, which reach the registry through the cluster
+//! state they share) push [`Span`]s, [`InstantEvent`]s and
 //! time-series samples into one [`Telemetry`] registry, and consumers export
 //! the registry as
 //!

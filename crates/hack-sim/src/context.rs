@@ -3,7 +3,6 @@
 use crate::event::{ComponentId, EventId};
 use crate::payload::Payload;
 use crate::state::SimState;
-use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -91,27 +90,6 @@ impl SimulationContext {
     /// Uniform `f64` in `[lo, hi)` from the engine's seeded generator.
     pub fn gen_range(&self, lo: f64, hi: f64) -> f64 {
         self.state.borrow_mut().rng().range_f64(lo, hi)
-    }
-
-    /// Derives an independent deterministic generator (e.g. to hand to a
-    /// component that wants its own stream).
-    pub fn fork_rng(&self) -> DetRng {
-        self.state.borrow_mut().rng().fork()
-    }
-
-    /// Runs `f` against the engine probe installed with
-    /// [`crate::Simulation::install_probe`], handing it the current simulation
-    /// time. Returns `None` — without touching the clock, the queue or the
-    /// RNG — when no probe is installed or the installed probe is not a `T`,
-    /// so instrumentation guarded by `probe` is free when telemetry is off.
-    pub fn probe<T: Any, R>(&self, f: impl FnOnce(f64, &mut T) -> R) -> Option<R> {
-        let (probe, time) = {
-            let state = self.state.borrow();
-            let probe = Rc::clone(state.probe()?);
-            (probe, state.time())
-        };
-        let mut probe = probe.borrow_mut();
-        probe.downcast_mut::<T>().map(|t| f(time, t))
     }
 }
 

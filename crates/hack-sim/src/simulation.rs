@@ -80,46 +80,28 @@ impl Simulation {
         self.state.borrow().time()
     }
 
-    /// Delivers the next event. Returns `false` when the queue is empty.
+    /// Delivers the next event and returns its destination, or `None` when
+    /// the queue is empty.
     ///
     /// Events addressed to a component without a handler are counted (see
     /// [`Simulation::unhandled_count`]) and otherwise dropped, like unhandled
     /// messages in most actor systems.
-    pub fn step(&mut self) -> bool {
-        let event: Option<Event> = self.state.borrow_mut().next_event();
-        match event {
-            None => false,
-            Some(event) => {
-                match self.handlers.get(event.dst) {
-                    Some(Some(handler)) => handler.borrow_mut().on(event),
-                    _ => self.unhandled += 1,
-                }
-                true
-            }
+    pub fn step(&mut self) -> Option<ComponentId> {
+        let event: Event = self.state.borrow_mut().next_event()?;
+        let dst = event.dst;
+        match self.handlers.get(dst) {
+            Some(Some(handler)) => handler.borrow_mut().on(event),
+            _ => self.unhandled += 1,
         }
+        Some(dst)
     }
 
     /// Runs until the event queue is empty; returns the number of events
     /// delivered by this call.
     pub fn run(&mut self) -> u64 {
         let before = self.state.borrow().processed_count();
-        while self.step() {}
+        while self.step().is_some() {}
         self.state.borrow().processed_count() - before
-    }
-
-    /// Runs until the queue is empty or the clock passes `deadline`; returns
-    /// `true` if events remain (i.e. the deadline cut the run short). The first
-    /// event scheduled after the deadline is still delivered — it is what moves
-    /// the clock past it.
-    pub fn run_until(&mut self, deadline: f64) -> bool {
-        loop {
-            if !self.step() {
-                return false;
-            }
-            if self.time() > deadline {
-                return true;
-            }
-        }
     }
 
     /// Total events emitted so far (including canceled and pending ones).
@@ -150,47 +132,6 @@ impl Simulation {
     /// Drains and returns the structured event log recorded so far.
     pub fn take_log(&mut self) -> Vec<EventRecord> {
         self.state.borrow_mut().take_log()
-    }
-
-    /// Streams the structured event log to `writer` as CSV instead of (or in
-    /// addition to) collecting it in memory: a header line is written
-    /// immediately and every subsequent emission/delivery appends one
-    /// [`EventRecord::render_csv`] row. Unlike [`Simulation::set_log_enabled`]
-    /// + [`Simulation::take_log`], this never holds the full log in memory.
-    ///
-    /// Write errors are latched (logging continues as a no-op) and surfaced by
-    /// [`Simulation::detach_log_writer`].
-    pub fn log_to_writer<W: std::io::Write + 'static>(&mut self, writer: W) {
-        self.state.borrow_mut().set_log_writer(Box::new(writer));
-    }
-
-    /// Flushes and drops the streaming log sink attached with
-    /// [`Simulation::log_to_writer`], reporting the first write error
-    /// encountered since it was attached. A no-op `Ok(())` when no sink is
-    /// attached.
-    pub fn detach_log_writer(&mut self) -> std::io::Result<()> {
-        self.state.borrow_mut().detach_log_writer()
-    }
-
-    /// Installs the engine probe: a shared mutable value components can reach
-    /// from their [`SimulationContext`] via [`SimulationContext::probe`]
-    /// (telemetry registries, debug counters, ...). The probe is deliberately
-    /// outside the event system — reading or writing it can never perturb the
-    /// clock, the queue or the RNG.
-    ///
-    /// A probe may hold [`SimulationContext`]s, which point back at the
-    /// engine; the simulation releases the probe when it drops, so that cycle
-    /// does not outlive it.
-    pub fn install_probe<T: std::any::Any>(&mut self, probe: Rc<RefCell<T>>) {
-        self.state.borrow_mut().set_probe(probe);
-    }
-}
-
-impl Drop for Simulation {
-    fn drop(&mut self) {
-        // Taken out first so the probe's own drop runs outside the borrow.
-        let probe = self.state.borrow_mut().take_probe();
-        drop(probe);
     }
 }
 
@@ -288,7 +229,7 @@ mod tests {
         // Canceled events stay queued until popped.
         assert_eq!(sim.queue_len(), 4);
 
-        assert!(sim.step());
+        assert_eq!(sim.step(), Some(ctx.id()));
         assert_eq!(recorder.borrow().seen, vec![13]);
         // Canceling a delivered id is a no-op for every later event.
         ctx.cancel_event(delivered);
@@ -304,7 +245,9 @@ mod tests {
         let mut sim = Simulation::new(1);
         let passive = sim.create_context("passive");
         passive.emit_self(Tick { n: 1 }, 0.5);
-        sim.run();
+        // The step still reports the destination it dropped the event at.
+        assert_eq!(sim.step(), Some(passive.id()));
+        assert_eq!(sim.step(), None);
         assert_eq!(sim.unhandled_count(), 1);
     }
 
@@ -390,81 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_simulation_frees_a_probe_holding_a_context() {
-        // The probe owns a context, which points back at the engine state
-        // that owns the probe: dropping the simulation must break the cycle.
-        struct Blackboard {
-            _ctx: SimulationContext,
-        }
-        let mut sim = Simulation::new(1);
-        let ctx = sim.create_context("blackboard");
-        let probe = Rc::new(RefCell::new(Blackboard { _ctx: ctx }));
-        let weak = Rc::downgrade(&probe);
-        sim.install_probe(probe);
-        drop(sim);
-        assert!(
-            weak.upgrade().is_none(),
-            "the probe outlived its simulation"
-        );
-    }
-
-    #[test]
-    fn log_streams_to_writer_without_collecting() {
-        #[derive(Clone, Default)]
-        struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf::default();
-        let mut sim = Simulation::new(1);
-        sim.log_to_writer(buf.clone());
-        let counter = build_counter(&mut sim, 1.0);
-        counter.borrow().ctx.emit_self(Tick { n: 1 }, 0.25);
-        sim.run();
-        sim.detach_log_writer().unwrap();
-
-        let csv = String::from_utf8(buf.0.borrow().clone()).unwrap();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], EventRecord::CSV_HEADER);
-        // 2 emissions + 2 deliveries.
-        assert_eq!(lines.len(), 5);
-        assert!(lines[1].starts_with("emit,0.25,0,0,0,Tick"), "{}", lines[1]);
-        assert!(lines[2].starts_with("deliver,0.25,"), "{}", lines[2]);
-        // The in-memory log was never enabled: nothing was collected.
-        assert!(sim.take_log().is_empty());
-        // Detaching again is a clean no-op.
-        assert!(sim.detach_log_writer().is_ok());
-    }
-
-    #[test]
-    fn log_writer_errors_are_latched_and_reported() {
-        struct FailingWriter;
-        impl std::io::Write for FailingWriter {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut sim = Simulation::new(1);
-        sim.log_to_writer(FailingWriter);
-        let counter = build_counter(&mut sim, 1.0);
-        counter.borrow().ctx.emit_self(Tick { n: 0 }, 0.5);
-        sim.run(); // must not panic despite every write failing
-        let err = sim.detach_log_writer().unwrap_err();
-        assert_eq!(err.to_string(), "disk full");
-    }
-
-    #[test]
     fn render_variants_are_aligned_and_parseable() {
         let record = EventRecord {
             id: 7,
@@ -482,49 +350,5 @@ mod tests {
         };
         let pos = |s: &str| s.find("(Tick)").unwrap();
         assert_eq!(pos(&record.render()), pos(&wide.render()));
-        assert_eq!(record.render_csv(), "emit,1.5,7,0,3,Tick");
-        assert_eq!(
-            EventRecord::CSV_HEADER.split(',').count(),
-            record.render_csv().split(',').count()
-        );
-    }
-
-    #[test]
-    fn probe_reaches_installed_value_and_is_silent_otherwise() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.create_context("c");
-        // No probe installed: closure must not run.
-        assert_eq!(ctx.probe::<u32, _>(|_, _| unreachable!("no probe")), None);
-
-        let probe = Rc::new(RefCell::new(0u32));
-        sim.install_probe(probe.clone());
-        // Wrong type: still None.
-        assert_eq!(
-            ctx.probe::<String, _>(|_, _| unreachable!("wrong type")),
-            None
-        );
-        // Right type: observes the clock and mutates the probe.
-        ctx.emit_self(Tick { n: 0 }, 2.0);
-        sim.run();
-        let seen = ctx.probe::<u32, _>(|time, v| {
-            *v += 5;
-            time
-        });
-        assert_eq!(seen, Some(2.0));
-        assert_eq!(*probe.borrow(), 5);
-        // Probing never perturbs the engine.
-        assert_eq!(sim.queue_len(), 0);
-        assert_eq!(sim.emitted_count(), 1);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(1);
-        let counter = build_counter(&mut sim, 10.0);
-        counter.borrow().ctx.emit_self(Tick { n: 100 }, 0.0);
-        let remaining = sim.run_until(35.0);
-        assert!(remaining);
-        assert!(sim.queue_len() > 0);
-        assert!(sim.time() <= 45.0);
     }
 }

@@ -5,10 +5,6 @@ use crate::log::{EventRecord, RecordKind};
 use crate::payload::Payload;
 use crate::queue::SlabEventQueue;
 use hack_tensor::DetRng;
-use std::any::Any;
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
 
 pub(crate) struct SimState {
     clock: f64,
@@ -21,9 +17,6 @@ pub(crate) struct SimState {
     processed: u64,
     rng: DetRng,
     log: Option<Vec<EventRecord>>,
-    log_writer: Option<Box<dyn Write>>,
-    log_writer_error: Option<std::io::Error>,
-    probe: Option<Rc<RefCell<dyn Any>>>,
 }
 
 impl SimState {
@@ -36,9 +29,6 @@ impl SimState {
             processed: 0,
             rng: DetRng::new(seed),
             log: None,
-            log_writer: None,
-            log_writer_error: None,
-            probe: None,
         }
     }
 
@@ -62,67 +52,6 @@ impl SimState {
         match &mut self.log {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
-        }
-    }
-
-    /// Attaches a streaming log sink; every record from here on is written as
-    /// one CSV line (header emitted immediately). Write errors are latched and
-    /// surfaced by [`SimState::detach_log_writer`].
-    pub fn set_log_writer(&mut self, mut writer: Box<dyn Write>) {
-        self.log_writer_error = None;
-        if let Err(e) = writeln!(writer, "{}", EventRecord::CSV_HEADER) {
-            self.log_writer_error = Some(e);
-        }
-        self.log_writer = Some(writer);
-    }
-
-    /// Flushes and drops the streaming log sink, reporting the first error
-    /// encountered since it was attached (if any).
-    pub fn detach_log_writer(&mut self) -> std::io::Result<()> {
-        let flushed = match &mut self.log_writer {
-            Some(writer) => writer.flush(),
-            None => Ok(()),
-        };
-        self.log_writer = None;
-        match self.log_writer_error.take() {
-            Some(e) => Err(e),
-            None => flushed,
-        }
-    }
-
-    /// Installs the engine probe components reach via
-    /// [`crate::SimulationContext::probe`].
-    pub fn set_probe(&mut self, probe: Rc<RefCell<dyn Any>>) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes and returns the installed probe.
-    pub fn take_probe(&mut self) -> Option<Rc<RefCell<dyn Any>>> {
-        self.probe.take()
-    }
-
-    /// The installed probe, if any.
-    pub fn probe(&self) -> Option<&Rc<RefCell<dyn Any>>> {
-        self.probe.as_ref()
-    }
-
-    /// Whether any log destination (in-memory or streaming) is active.
-    #[inline]
-    fn logging(&self) -> bool {
-        self.log.is_some() || self.log_writer.is_some()
-    }
-
-    /// Routes one record to the active destinations.
-    fn record(&mut self, record: EventRecord) {
-        if let Some(writer) = &mut self.log_writer {
-            if self.log_writer_error.is_none() {
-                if let Err(e) = writeln!(writer, "{}", record.render_csv()) {
-                    self.log_writer_error = Some(e);
-                }
-            }
-        }
-        if let Some(log) = &mut self.log {
-            log.push(record);
         }
     }
 
@@ -159,8 +88,8 @@ impl SimState {
             payload_type,
             payload,
         });
-        if self.logging() {
-            self.record(EventRecord {
+        if let Some(log) = &mut self.log {
+            log.push(EventRecord {
                 id,
                 time,
                 src,
@@ -209,8 +138,8 @@ impl SimState {
             debug_assert!(event.time >= self.clock, "event queue went backwards");
             self.clock = event.time;
             self.processed += 1;
-            if self.logging() {
-                self.record(EventRecord {
+            if let Some(log) = &mut self.log {
+                log.push(EventRecord {
                     id: event.id,
                     time: event.time,
                     src: event.src,

@@ -95,7 +95,7 @@ fn off_is_bit_identical_to_the_scaling_free_simulator() {
 
 #[test]
 fn scaling_decisions_are_engine_independent_and_reproducible() {
-    // Scaling decisions are pure clock-and-state logic on the probe tick, so
+    // Scaling decisions are pure clock-and-state logic on the control tick, so
     // the full result — scale events, billed dollars, every JCT — must be
     // bit-identical across repeat runs. (`golden_digests` pins the autoscale
     // grid bit for bit.)

@@ -463,25 +463,7 @@ fn random_multi_tenant(rng: &mut DetRng) -> (SimulationConfig, Arc<Vec<hack_work
         let all = hack_cluster::DispatchPolicyKind::all();
         all[rng.range_usize(0, all.len())]
     };
-    let scaling = {
-        use hack_cluster::ScalingPolicyKind;
-        [
-            ScalingPolicyKind::Off,
-            ScalingPolicyKind::Threshold {
-                high: rng.range_f64(1.0, 6.0),
-                low: rng.range_f64(0.1, 0.9),
-            },
-            ScalingPolicyKind::TargetUtilization {
-                setpoint: rng.range_f64(0.4, 0.9),
-                band: rng.range_f64(0.05, 0.2),
-            },
-            ScalingPolicyKind::Predictive {
-                alpha: rng.range_f64(0.1, 0.9),
-                per_replica_rps: rng.range_f64(0.1, 1.0),
-                headroom: rng.range_f64(1.0, 1.5),
-            },
-        ][rng.range_usize(0, 4)]
-    };
+    let scaling = scaling_policies(rng)[rng.range_usize(0, 4)];
     let mut base = random_sim_config(rng);
     base.faults = FaultPlan::none(); // exercised separately; keep every request completable
     base.trace.num_requests = requests.len();
@@ -494,6 +476,27 @@ fn random_multi_tenant(rng: &mut DetRng) -> (SimulationConfig, Arc<Vec<hack_work
         scaling,
     };
     (base, requests)
+}
+
+/// The four scaling policies (`Off` first), each with drawn parameters.
+fn scaling_policies(rng: &mut DetRng) -> [hack_cluster::ScalingPolicyKind; 4] {
+    use hack_cluster::ScalingPolicyKind;
+    [
+        ScalingPolicyKind::Off,
+        ScalingPolicyKind::Threshold {
+            high: rng.range_f64(1.0, 6.0),
+            low: rng.range_f64(0.1, 0.9),
+        },
+        ScalingPolicyKind::TargetUtilization {
+            setpoint: rng.range_f64(0.4, 0.9),
+            band: rng.range_f64(0.05, 0.2),
+        },
+        ScalingPolicyKind::Predictive {
+            alpha: rng.range_f64(0.1, 0.9),
+            per_replica_rps: rng.range_f64(0.1, 1.0),
+            headroom: rng.range_f64(1.0, 1.5),
+        },
+    ]
 }
 
 #[test]
@@ -639,7 +642,7 @@ fn assert_conserved(result: &SimulationResult, total: usize, label: &str) {
 }
 
 #[test]
-fn conservation_holds_under_randomized_fault_plans_across_engines_and_cost_modes() {
+fn conservation_holds_under_randomized_fault_plans() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
     for case in 0..8 {
         let mut rng = DetRng::new(18_000 + case);
@@ -818,24 +821,67 @@ fn generated_fault_plans_are_deterministic_and_always_validate() {
     }
 }
 
+/// Whether two spine outages of `plan` overlap in time: on a two-spine
+/// fabric, no transfer path survives while they do.
+fn spine_outages_overlap(plan: &FaultPlan) -> bool {
+    let spines: Vec<&FaultEvent> = plan
+        .iter()
+        .filter(|e| matches!(e.domain, FaultDomain::Spine(_)) && e.degrade.is_none())
+        .collect();
+    let until = |e: &FaultEvent| e.recover_at.unwrap_or(f64::INFINITY);
+    spines.iter().enumerate().any(|(i, a)| {
+        spines[i + 1..]
+            .iter()
+            .any(|b| a.at < until(b) && b.at < until(a))
+    })
+}
+
 #[test]
-fn conservation_holds_under_generated_plans_across_engines_and_cost_modes() {
-    use hack_cluster::{LinkGraphSpec, TopologySpec};
-    for case in 0..6 {
+fn conservation_holds_under_generated_plans_with_every_layer() {
+    use hack_cluster::{LinkGraphSpec, MtbfSpec, TopologySpec};
+    let (mut overlapping, mut abandoned) = (0, 0);
+    for case in 0..8 {
         let mut rng = DetRng::new(22_000 + case);
         let mut config = random_sim_config(&mut rng);
         config.cluster.topology =
-            TopologySpec::LinkGraph(LinkGraphSpec::redundant(rng.range_usize(1, 4)));
-        let model = random_availability_model(&mut rng, true);
+            TopologySpec::LinkGraph(LinkGraphSpec::redundant(rng.range_usize(1, 3)));
+        let mut model = random_availability_model(&mut rng, true);
+        // Spine outages short apart and long lived, so that they overlap and
+        // cut every transfer path for a while.
+        model.spine = Some(MtbfSpec::outage(
+            rng.range_f64(10.0, 60.0),
+            rng.range_f64(60.0, 300.0),
+        ));
         // A horizon past every arrival so faults can land mid-decode too.
         let horizon = config.trace.num_requests as f64 / config.trace.rps + 100.0;
         config.faults = model.generate_plan(&config.cluster.fleet_shape(), horizon, rng.next_u64());
+        config.policy.scaling = scaling_policies(&mut rng)[case as usize % 4];
+        if rng.chance(0.5) {
+            config.telemetry = TelemetryConfig::on();
+        }
+        overlapping += usize::from(spine_outages_overlap(&config.faults));
         let total = config.trace.num_requests;
 
         let result = Simulator::new(config).run();
         let again = Simulator::new(config).run();
         assert_eq!(result, again, "case {case}: repeat runs diverged");
         assert_conserved(&result, total, &format!("case {case}"));
+        abandoned += result.abandoned_requests;
+
+        // Telemetry observes the run without changing it, and does not keep
+        // a run alive after its last request has ended.
+        let flipped = SimulationConfig {
+            telemetry: match config.telemetry {
+                TelemetryConfig::Off => TelemetryConfig::on(),
+                TelemetryConfig::On(_) => TelemetryConfig::Off,
+            },
+            ..config
+        };
+        assert_eq!(
+            Simulator::new(flipped).run(),
+            result,
+            "case {case}: telemetry changed the run"
+        );
 
         // Degradation exposure only ever comes from degrade-tagged events.
         if config.faults.iter().all(|e| e.degrade.is_none()) {
@@ -843,6 +889,11 @@ fn conservation_holds_under_generated_plans_across_engines_and_cost_modes() {
             assert_eq!(result.throughput_loss_gbps_s, 0.0, "case {case}");
         }
     }
+    assert!(
+        overlapping > 0,
+        "no drawn plan overlapped two spine outages"
+    );
+    assert!(abandoned > 0, "no request exhausted its retries");
 }
 
 // --- Session invariants: causal ordering, conservation under randomized
