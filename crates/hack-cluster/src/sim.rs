@@ -587,8 +587,9 @@ impl Simulator {
         // --- Drive the engine until every request has ended: completed,
         // rejected by admission, or abandoned after exhausting its transfer
         // retries. A run with requests that can never end (stranded behind a
-        // permanently dead decode fleet) stops once nothing request-visible
-        // is left to deliver. ---
+        // permanently dead decode fleet) stops when its queue runs dry or,
+        // with tickers on, at the first control step that leaves only the
+        // tickers' own events queued. ---
         //
         // The telemetry sampler and the scaling controller are control
         // components, registered after every request-path component, so a
@@ -1741,25 +1742,13 @@ mod tests {
         );
     }
 
-    // --- Every run ends: regression tests for runs that once never did. A
-    // --- run that never ends spins forever, so these run on a worker thread
-    // --- and fail after a wall-clock minute instead of hanging the suite.
+    // --- Every run ends: regression tests for runs that once never did.
+    // --- Each bounds its delivered-event count, so a run that drifts toward
+    // --- not ending fails here.
 
-    /// Runs `config` and returns its result and delivered-event count. A run
-    /// that has not ended after a minute is left spinning on its thread.
+    /// Runs `config` and returns its result and delivered-event count.
     fn run_to_end(config: SimulationConfig) -> (SimulationResult, u64) {
-        let (ended, wait) = std::sync::mpsc::channel();
-        let run = std::thread::spawn(move || {
-            let run = Simulator::new(config).run_counted(EngineMode::Slab);
-            let _ = ended.send(());
-            run
-        });
-        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
-            wait.recv_timeout(std::time::Duration::from_secs(60))
-        {
-            panic!("the run did not end within a minute");
-        }
-        run.join().expect("the run panicked")
+        Simulator::new(config).run_counted(EngineMode::Slab)
     }
 
     #[test]

@@ -227,9 +227,6 @@ fn all_opt_in_layers_run() {
     assert!(result.scale_ups > 0 && result.scale_downs > 0);
     assert!(result.requeued_requests > 0 && result.degraded_link_secs > 0.0);
     check(&[
-        // Re-pinned when link-graph flows stopped emitting a never-delivered
-        // placeholder completion: the log lost those emissions, the result
-        // and the telemetry did not move.
         ("log", digest(&log), 0xa180_4ac6_0fb0_2958),
         ("result", digest(&result), 0x442e_068c_8172_de5f),
         (
@@ -335,9 +332,6 @@ fn fault_storm_grid() {
         ..FaultStormExperiment::paper_storm()
     };
     check(&[
-        // Re-pinned when abandoned requests started to count as ended: the
-        // `graph/spine` cell's run now ends at its last abandonment, which
-        // raises that cell's degraded goodput; no other cell moved.
         (
             "grid",
             digest(&storm.grid(Method::hack())),

@@ -840,18 +840,22 @@ fn spine_outages_overlap(plan: &FaultPlan) -> bool {
 fn conservation_holds_under_generated_plans_with_every_layer() {
     use hack_cluster::{LinkGraphSpec, MtbfSpec, TopologySpec};
     let (mut overlapping, mut abandoned) = (0, 0);
-    for case in 0..8 {
+    for case in 0..14 {
         let mut rng = DetRng::new(22_000 + case);
         let mut config = random_sim_config(&mut rng);
-        config.cluster.topology =
-            TopologySpec::LinkGraph(LinkGraphSpec::redundant(rng.range_usize(1, 3)));
+        // The first six cases keep the drawn fabric and spine model; the rest
+        // force spine outages short apart and long lived on one or two
+        // spines, so that they overlap and cut every transfer path a while.
+        let overlap_case = case >= 6;
+        let spines = rng.range_usize(1, if overlap_case { 3 } else { 4 });
+        config.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(spines));
         let mut model = random_availability_model(&mut rng, true);
-        // Spine outages short apart and long lived, so that they overlap and
-        // cut every transfer path for a while.
-        model.spine = Some(MtbfSpec::outage(
-            rng.range_f64(10.0, 60.0),
-            rng.range_f64(60.0, 300.0),
-        ));
+        if overlap_case {
+            model.spine = Some(MtbfSpec::outage(
+                rng.range_f64(10.0, 60.0),
+                rng.range_f64(60.0, 300.0),
+            ));
+        }
         // A horizon past every arrival so faults can land mid-decode too.
         let horizon = config.trace.num_requests as f64 / config.trace.rps + 100.0;
         config.faults = model.generate_plan(&config.cluster.fleet_shape(), horizon, rng.next_u64());
